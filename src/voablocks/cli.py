@@ -299,7 +299,14 @@ def cmd_blocks_dim(args) -> tuple[dict, dict, int]:
     d, p = int(config["D"]), int(config["P"])
     points = tuple(qparse(x) for x in config["points"])
     voa = build_model(config["voa"], d)
-    modules = [_build_label_module(voa, lab, d) for lab in config["labels"]]
+    # Repeated labels share one module object, and with it one mode cache.
+    built: dict[str, TruncatedModel] = {}
+    modules = []
+    for lab in config["labels"]:
+        key = json.dumps(lab, sort_keys=True)
+        if key not in built:
+            built[key] = _build_label_module(voa, lab, d)
+        modules.append(built[key])
     surface = LabeledLine(PointedLine(points), modules)
     rep = coinvariant_report(surface, d, p, w_max=config.get("w_max"))
     return config, rep.to_json(), 0
@@ -324,6 +331,13 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="voablocks", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -335,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ci = sub.add_parser("check-identities", parents=[], add_help=True)
     ci.add_argument("--model", default="ising")
-    ci.add_argument("--cutoff", type=int, default=8)
+    ci.add_argument("--cutoff", type=_nonnegative_int, default=8)
     ci.add_argument("--samples", type=int, default=200)
     ci.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ci.add_argument("--max-exponent", type=int, default=4)
@@ -349,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--h")
     for flag in "pqrs":
         vs.add_argument(f"-{flag}", type=int, default=None)
-    vs.add_argument("--level", type=int, required=True)
+    vs.add_argument("--level", type=_nonnegative_int, required=True)
     vs.set_defaults(fn=cmd_virasoro_singular)
     common(vs)
     vf = vsub.add_parser("ff-verify")
@@ -366,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     qu = sub.add_parser("quotient")
     qu.add_argument("--space", choices=("c2", "cn", "b1", "cmu"), required=True)
     qu.add_argument("--model", default="ising")
-    qu.add_argument("--cutoff", type=int, default=8)
+    qu.add_argument("--cutoff", type=_nonnegative_int, default=8)
     qu.add_argument("--n", type=int, default=2)
     qu.add_argument("--m", type=int, default=1)
     qu.add_argument("--window", type=int, default=None)
@@ -383,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb = lsub.add_parser("b1check")
     lb.add_argument("--gram", required=True)
     lb.add_argument("--lambda", dest="lam", default=None)
-    lb.add_argument("--cutoff", type=int, default=6)
+    lb.add_argument("--cutoff", type=_nonnegative_int, default=6)
     lb.set_defaults(fn=cmd_lattice_b1check)
     common(lb)
 

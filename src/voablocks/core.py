@@ -115,13 +115,6 @@ class TruncatedModel(ABC):
     def basis_state(self, label) -> State:
         return {label: Fraction(1)}
 
-    def all_labels(self, max_degree: int | None = None) -> list:
-        top = self.cutoff if max_degree is None else min(max_degree, self.cutoff)
-        out = []
-        for d in range(top + 1):
-            out.extend(self.labels_at(d))
-        return out
-
     def state_weight(self, s: Mapping) -> Fraction | None:
         """Weight of a homogeneous state; None for zero, error if mixed."""
         wts = {self.weight_of(k) for k in s}

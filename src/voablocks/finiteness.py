@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import State, TruncatedModel, mode_apply, quasi_primary_space, state_scale
+from .core import (
+    State,
+    TruncatedModel,
+    binom,
+    mode_apply,
+    quasi_primary_space,
+    state_scale,
+)
 from .linalg import Echelon, SolverEchelon, vec_add_scaled
 from .virasoro import VerificationError
 
@@ -324,11 +331,6 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
     cert = ReductionCertificate(dict(a), q, dict(w), m)
     dec = _UDecomposer(voa, U)
 
-    def binom_neg(p: int, j: int) -> int:
-        from .core import binom
-
-        return binom(p, j)
-
     def rec(a_state: Mapping, qq: int, w_state: Mapping, scale: Fraction) -> None:
         if not scale or not a_state or not w_state:
             return
@@ -375,8 +377,10 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
                         bjc = mode_apply(voa, b, j, c)
                         if bjc:
                             rec(bjc, 1 + qq + j, w_state,
-                                sc * binom_neg(-1 - i, j))
+                                sc * binom(-1 - i, j))
 
     rec(a, q, w, Fraction(1))
-    assert all(n >= m for _, n, _, _ in cert.entries)
+    low = [n for _, n, _, _ in cert.entries if n < m]
+    if low:
+        raise VerificationError(f"certificate entry at mode {min(low)} below m = {m}")
     return cert

@@ -51,18 +51,6 @@ def vec_add_scaled(dst: dict, src: Mapping, coeff: Fraction) -> None:
             dst.pop(k, None)
 
 
-def vec_scale(src: Mapping, coeff: Fraction) -> dict:
-    if not coeff:
-        return {}
-    return {k: coeff * v for k, v in src.items()}
-
-
-def vec_sub(a: Mapping, b: Mapping) -> dict:
-    out = dict(a)
-    vec_add_scaled(out, b, Fraction(-1))
-    return out
-
-
 class SparseMatrix:
     """Row-sparse matrix of exact rationals."""
 
@@ -162,14 +150,19 @@ def rank_of_rows(rows: Iterable[Mapping], ncols: int) -> int:
 
 
 class Echelon:
-    """Incremental echelon form keyed by arbitrary hashable coordinates.
+    """Incremental reduced row echelon form keyed by arbitrary hashable coordinates.
 
-    Supports rank queries and residual reduction; used for all greedy
-    span/complement computations.
+    Every row is kept fully reduced: it has coefficient 1 at its own pivot
+    and 0 at every other pivot, so ``reduce`` returns the unique residual
+    supported off the pivots.  A new row pivots on its coordinate that is
+    minimal under ``pivot_key`` (default: ``_pivot_key``, the natural order
+    within a key type).  Supports rank queries and residual reduction; used
+    for all greedy span/complement computations.
     """
 
-    def __init__(self):
+    def __init__(self, pivot_key=None):
         self.pivot_rows: dict = {}  # pivot key -> row (dict key->Fraction with row[pivot]=1)
+        self.pivot_key = _pivot_key if pivot_key is None else pivot_key
 
     def reduce(self, vec: Mapping) -> dict:
         v = dict(vec)
@@ -188,7 +181,7 @@ class Echelon:
         v = self.reduce(vec)
         if not v:
             return False
-        pivot = min(v, key=_pivot_key)
+        pivot = min(v, key=self.pivot_key)
         pv = v[pivot]
         row = {k: c / pv for k, c in v.items()}
         for p, r in self.pivot_rows.items():
@@ -285,15 +278,6 @@ def span_quotient_dims(ambient_dims: Sequence[int], spanning: Iterable[tuple[int
     return out
 
 
-def graded_vector(components: Mapping[int, Mapping]) -> tuple[int, dict]:
-    """Validate homogeneity: a graded vector lives in a single degree."""
-    nonzero = {d: dict(v) for d, v in components.items() if v}
-    if len(nonzero) != 1:
-        raise ValueError("spanning vector is not homogeneous")
-    ((d, v),) = nonzero.items()
-    return d, v
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials in one parameter t over Q
 
@@ -373,7 +357,7 @@ class Laurent:
     __rmul__ = __mul__
 
     def eval(self, t0: Fraction) -> Fraction:
-        """Exact substitution t = t0 (laurent_eval)."""
+        """Exact substitution t = t0."""
         t0 = Fraction(t0)
         if t0 == 0:
             if any(e < 0 for e in self.c):
@@ -389,10 +373,6 @@ class Laurent:
             return "Laurent(0)"
         terms = " + ".join(f"({qstr(v)})t^{e}" for e, v in sorted(self.c.items()))
         return f"Laurent({terms})"
-
-
-def laurent_eval(p: Laurent, t0: Fraction) -> Fraction:
-    return p.eval(t0)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,16 @@ def minimal_params_values(p: int, q: int, r: int, s: int) -> tuple[Fraction, Fra
     """Exact central charge and highest weight of the (p,q;r,s) entry."""
     _validate_minimal(p, q, r, s)
     c = 1 - Fraction(6 * (p - q) ** 2, p * q)
-    h = Fraction((r * p - s * q) ** 2 - (p - q) ** 2, 4 * p * q)
-    h_mirror = Fraction(((q - r) * p - (p - s) * q) ** 2 - (p - q) ** 2, 4 * p * q)
-    assert h == h_mirror
+    h = _kac_weight(p, q, r, s)
+    if h != _kac_weight(p, q, q - r, p - s):
+        raise VerificationError(
+            f"Kac weight of ({p},{q};{r},{s}) differs from its mirror entry"
+        )
     return c, h
+
+
+def _kac_weight(p: int, q: int, r: int, s: int) -> Fraction:
+    return Fraction((r * p - s * q) ** 2 - (p - q) ** 2, 4 * p * q)
 
 
 def _validate_minimal(p: int, q: int, r: int, s: int) -> None:
@@ -173,8 +179,10 @@ def _has_one(part: tuple[int, ...]) -> bool:
 class VirasoroModel(TruncatedModel):
     """M(c,h) or a quotient of it by a submodule generated by singular vectors.
 
-    Basis labels are partitions; for quotients each level carries an exact
-    reduction of every partition monomial onto the chosen complement basis.
+    Basis labels are partitions.  Each level keeps the submodule in reduced
+    row echelon form (``_sub``); the basis (``_basis``) is its non-pivot
+    monomials, and ``_reduce_map`` holds the exact reduction of every
+    partition monomial onto that basis.
     """
 
     def __init__(
@@ -210,9 +218,22 @@ class VirasoroModel(TruncatedModel):
 
     # -- quotient construction --------------------------------------------
     def _build_quotient(self, gens: list[State]) -> None:
+        """Submodule RREF per level; its non-pivot monomials are the basis.
+
+        Monomials of each level are ordered by (_has_one, partition) and each
+        submodule row pivots on its last monomial in that order, so the
+        non-pivot monomials form the complement basis that a greedy pass
+        from the front would choose: VOA models prefer 1-free monomials.
+        Reducing a monomial by the RREF expresses it in that basis.
+        """
         cutoff = self.cutoff
+        orders = {d: sorted(partitions(d), key=lambda p: (_has_one(p), p))
+                  for d in range(cutoff + 1)}
+        self._sub = {}
+        for d, parts in orders.items():
+            last_first = {part: -i for i, part in enumerate(parts)}
+            self._sub[d] = Echelon(pivot_key=last_first.__getitem__)
         # Closure of the generators under all L_{-m}: spans U(Vir^-) . gens.
-        seen = {d: Echelon() for d in range(cutoff + 1)}
         work: list[tuple[int, State]] = []
         for g in gens:
             lvl = self._state_level(g)
@@ -222,36 +243,18 @@ class VirasoroModel(TruncatedModel):
         while head < len(work):
             lvl, vec = work[head]
             head += 1
-            if not seen[lvl].add(vec):
+            if not self._sub[lvl].add(vec):
                 continue
             for m in range(1, cutoff - lvl + 1):
                 nv = self.action.apply_state(-m, vec)
                 if nv:
                     work.append((lvl + m, nv))
-        self._sub = {d: seen[d] for d in range(cutoff + 1)}
-        # Complement basis per level, VOA models prefer 1-free monomials.
         self._basis: dict[int, tuple] = {}
         self._reduce_map: dict[int, dict] = {}
-        for d in range(cutoff + 1):
-            parts = sorted(partitions(d), key=lambda p: (_has_one(p), p))
-            sel: list[tuple[int, ...]] = []
-            solver = SolverEchelon()
-            for part in parts:
-                resid = self._sub[d].reduce({part: Fraction(1)})
-                if not resid:
-                    continue
-                if solver.solve(resid) is None:
-                    solver.add(resid, part)
-                    sel.append(part)
-            rmap: dict = {}
-            for part in parts:
-                resid = self._sub[d].reduce({part: Fraction(1)})
-                expr = solver.solve(resid) if resid else {}
-                if expr is None:
-                    raise VerificationError("complement basis does not span quotient")
-                rmap[part] = {k: v for k, v in expr.items() if v}
-            self._basis[d] = tuple(sorted(sel))
-            self._reduce_map[d] = rmap
+        for d, parts in orders.items():
+            sub = self._sub[d]
+            self._basis[d] = tuple(sorted(p for p in parts if p not in sub.pivot_rows))
+            self._reduce_map[d] = {part: sub.reduce({part: Fraction(1)}) for part in parts}
 
     def _state_level(self, s: Mapping) -> int | None:
         lvls = {sum(p) for p in s}
@@ -285,7 +288,8 @@ class VirasoroModel(TruncatedModel):
         return self.h + sum(label)
 
     def gen_weight(self, gen_id) -> Fraction:
-        assert gen_id == "omega"
+        if gen_id != "omega":
+            raise ValueError(f"unknown Virasoro generator {gen_id!r}")
         return Fraction(2)
 
     def decompose(self, label):
@@ -297,7 +301,8 @@ class VirasoroModel(TruncatedModel):
         return ("iter", "omega", n1 - 1, self.reduce_partition_state({rest: Fraction(1)}))
 
     def gen_mode(self, gen_id, n: int, label) -> State:
-        assert gen_id == "omega"
+        if gen_id != "omega":
+            raise ValueError(f"unknown Virasoro generator {gen_id!r}")
         m = n - 1  # omega(n) = L_{n-1}
         lvl = sum(label) - m
         if lvl > self.cutoff:

@@ -104,6 +104,54 @@ def test_schema_violations_exit_one(capsys):
     assert main(["check-identities", "--model", "{bad json"]) == 1
 
 
+def test_blocks_dim_builds_each_distinct_label_once(tmp_path, capsys, monkeypatch):
+    from voablocks import cli
+
+    built = []
+    real = cli._build_label_module
+
+    def counting(voa, label, cutoff):
+        built.append(label)
+        return real(voa, label, cutoff)
+
+    monkeypatch.setattr(cli, "_build_label_module", counting)
+    sigma, eps = {"r": 2, "s": 2}, {"s": 1, "r": 2}
+    config = {
+        "points": ["0", "1", "-1"],
+        "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1},
+        "labels": [sigma, dict(sigma), eps],
+        "D": 6,
+        "P": 2,
+    }
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(config))
+    code, out = run(capsys, "blocks", "dim", "--config", str(path))
+    assert code == 0
+    assert built == [sigma, eps]
+    assert json.loads(out)["result"]["total"] == 1  # sigma x sigma contains eps once
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient", "--space", "c2", "--model", "ising", "--cutoff", "-1"],
+    ["check-identities", "--cutoff", "-1"],
+    ["lattice", "b1check", "--gram", "[[2]]", "--cutoff", "-2"],
+    ["virasoro", "singular", "-p", "4", "-q", "3", "-r", "1", "-s", "2",
+     "--level", "-1"],
+])
+def test_negative_cutoff_or_level_is_a_schema_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error:") and "must be >= 0" in captured.err
+
+
+def test_zero_cutoff_is_accepted(capsys):
+    code, out = run(capsys, "quotient", "--space", "c2", "--model", "ising",
+                    "--cutoff", "0")
+    assert code == 0
+    assert json.loads(out)["result"]["per_degree"] == [1]
+
+
 def test_out_and_table_flags(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out = run(capsys, "virasoro", "bounds",

@@ -17,7 +17,7 @@ from voablocks.finiteness import (
 )
 from voablocks.lattice import heisenberg_model, lattice_model
 from voablocks.linalg import Echelon
-from voablocks.virasoro import irreducible_model, ising_model
+from voablocks.virasoro import VerificationError, irreducible_model, ising_model
 
 rng = random.Random(20240819)
 
@@ -189,3 +189,13 @@ def test_certificate_precondition():
     U, _, _ = complement_U(m)
     with pytest.raises(ValueError):
         reduce_certificate(m, m.basis_state((2,)), 3, m.basis_state(()), U, m=2)
+
+
+def test_certificate_rejects_entries_below_m():
+    # With m < 1 the precondition q >= m wt a no longer implies q >= m, so
+    # the U-part entry omega(2)w lands below C_m and the check must fire.
+    m = ising_model(cutoff=10)
+    U, _, _ = complement_U(m)
+    omega_u = next(u for u in U if m.state_weight(u) == 2)
+    with pytest.raises(VerificationError):
+        reduce_certificate(m, omega_u, -2, m.basis_state(()), U, m=-1)

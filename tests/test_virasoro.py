@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from voablocks import virasoro
 from voablocks.core import TruncationError, check_identity, mode_apply
 from voablocks.virasoro import (
     VermaAction,
@@ -41,6 +42,14 @@ def test_minimal_params_rejects_bad_input():
         minimal_params_values(4, 2, 1, 1)
     with pytest.raises(ValueError):
         minimal_params_values(4, 3, 3, 1)
+
+
+def test_minimal_params_raises_when_kac_table_loses_mirror_symmetry(monkeypatch):
+    # h_{r,s} = h_{q-r,p-s} holds for the Kac formula; a formula that breaks
+    # it must fail loudly, also under python -O.
+    monkeypatch.setattr(virasoro, "_kac_weight", lambda p, q, r, s: Fraction(r))
+    with pytest.raises(VerificationError):
+        minimal_params_values(4, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +165,72 @@ def test_lee_yang_graded_dimensions():
     assert [m.dim(d) for d in range(7)] == [1, 0, 1, 1, 1, 1, 2]
 
 
+def _partition_counts(n: int) -> list[int]:
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            counts[k] += counts[k - part]
+    return counts
+
+
+def rocha_caridi_dims(p: int, q: int, r: int, s: int, cutoff: int) -> list[int]:
+    """Graded dimensions of L(c_{p,q}, h_{r,s}) from the Rocha-Caridi character.
+
+    chi(x) = x^h / prod(1 - x^n) * sum_k (x^{A_k} - x^{B_k}) with
+    A_k = ((2pqk + rp - sq)^2 - (rp - sq)^2) / 4pq and
+    B_k = ((2pqk + rp + sq)^2 - (rp - sq)^2) / 4pq (Rocha-Caridi 1985).
+    """
+    pc = _partition_counts(cutoff)
+    dims = [0] * (cutoff + 1)
+    for k in range(-cutoff - 1, cutoff + 2):
+        for sign, t in ((1, r * p - s * q), (-1, r * p + s * q)):
+            num = (2 * p * q * k + t) ** 2 - (r * p - s * q) ** 2
+            assert num % (4 * p * q) == 0
+            shift = num // (4 * p * q)
+            for n in range(shift, cutoff + 1):
+                dims[n] += sign * pc[n - shift]
+    return dims
+
+
+@pytest.mark.parametrize("p, q, entries, cutoff", [
+    (4, 3, [(2, 1), (1, 2)], 13),
+    (5, 2, [], 14),
+    (5, 3, [(2, 1)], 12),
+    (5, 4, [(2, 2)], 12),
+    (7, 2, [(1, 2)], 12),
+])
+def test_irreducible_dims_match_rocha_caridi_character(p, q, entries, cutoff):
+    voa = irreducible_model(p, q, 1, 1, cutoff)
+    for r, s in [(1, 1)] + entries:
+        m = voa if (r, s) == (1, 1) else irreducible_model(p, q, r, s, cutoff, voa=voa)
+        assert [m.dim(d) for d in range(cutoff + 1)] == \
+            rocha_caridi_dims(p, q, r, s, cutoff), (p, q, r, s)
+
+
+@pytest.mark.parametrize("p, q, r, s, cutoff", [
+    (4, 3, 1, 1, 10), (4, 3, 2, 2, 10), (5, 3, 2, 1, 9),
+])
+def test_quotient_basis_is_the_non_pivot_monomials(p, q, r, s, cutoff):
+    m = irreducible_model(p, q, r, s, cutoff)
+
+    def order(part):
+        return (bool(part) and part[-1] == 1, part)
+
+    for d in range(cutoff + 1):
+        basis = set(m.labels_at(d))
+        assert basis.isdisjoint(m._sub[d].pivot_rows)
+        assert len(basis) + m._sub[d].rank == len(partitions(d))
+        for b in basis:
+            assert m._reduce_map[d][b] == {b: 1}
+        assert set(m._reduce_map[d]) == set(partitions(d))
+        for image in m._reduce_map[d].values():
+            assert set(image) <= basis
+        for pivot, row in m._sub[d].pivot_rows.items():
+            assert m._sub[d].reduce(row) == {}
+            assert max(row, key=order) == pivot and row[pivot] == 1
+            assert set(row) - {pivot} <= basis
+
+
 # ---------------------------------------------------------------------------
 # Mode action through the generic recursion
 
@@ -172,6 +247,16 @@ def test_omega_modes_match_verma_action_on_verma_module():
                     continue
                 got = mode_apply(m, omega, mode, {part: Fraction(1)})
                 assert got == act.L(mode - 1, part)
+
+
+def test_gen_weight_rejects_unknown_generator():
+    with pytest.raises(ValueError):
+        ising_model(cutoff=4).gen_weight("h")
+
+
+def test_gen_mode_rejects_unknown_generator():
+    with pytest.raises(ValueError):
+        ising_model(cutoff=4).gen_mode("h", 1, (2,))
 
 
 def test_truncation_error_is_raised_loudly():
