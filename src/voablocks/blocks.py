@@ -96,9 +96,6 @@ class MeromorphicSection:
     def pole_order(self, i: int) -> int:
         return max((m for (j, m) in self.poles if j == i), default=0)
 
-    def max_pole_order(self) -> int:
-        return max((m for (_, m) in self.poles), default=0)
-
     def to_json(self) -> dict:
         from .linalg import qstr
 

@@ -296,7 +296,12 @@ def cmd_blocks_dim(args) -> tuple[dict, dict, int]:
     for field in ("points", "voa", "labels", "D", "P"):
         if field not in config:
             raise SchemaError(f"config: missing field {field!r}")
-    d, p = int(config["D"]), int(config["P"])
+    for field in ("D", "P"):
+        value = config[field]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise SchemaError(f"config: field {field!r} must be a nonnegative "
+                              f"integer, got {value!r}")
+    d, p = config["D"], config["P"]
     points = tuple(qparse(x) for x in config["points"])
     voa = build_model(config["voa"], d)
     # Repeated labels share one module object, and with it one mode cache.

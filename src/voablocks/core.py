@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Hashable, Mapping
 
-from .linalg import vec_add_scaled
+from .linalg import kernel_of, vec_add_scaled
 
 State = dict  # BasisLabel -> Fraction, no stored zeros
 
@@ -145,10 +145,6 @@ def mode_apply(model: TruncatedModel, a: Mapping, n: int, w: Mapping) -> State:
     return out
 
 
-def _mode_state(model: TruncatedModel, a_state: Mapping, n: int, w_state: Mapping) -> State:
-    return mode_apply(model, a_state, n, w_state)
-
-
 def _mode_label(model: TruncatedModel, alab, n: int, wlab) -> State:
     key = (alab, n, wlab)
     cached = model._mode_cache.get(key)
@@ -200,7 +196,7 @@ def _iterate_formula(model: TruncatedModel, gen, k: int, c_state: Mapping, Q: in
     i_max1 = wt_c + wt_w - Q - 1 - model.lowest_weight
     i1 = math.floor(i_max1) if i_max1 >= 0 else -1
     for i in range(i1 + 1):
-        inner = _mode_state(model, c_state, Q + i, {wlab: Fraction(1)})
+        inner = mode_apply(model, c_state, Q + i, {wlab: Fraction(1)})
         if not inner:
             continue
         coeff = Fraction(binom(-k, i) * (-1) ** i)
@@ -217,7 +213,7 @@ def _iterate_formula(model: TruncatedModel, gen, k: int, c_state: Mapping, Q: in
         if not inner:
             continue
         coeff = sign * binom(-k, i) * (-1) ** i
-        term = _mode_state(model, c_state, -k + Q - i, inner)
+        term = mode_apply(model, c_state, -k + Q - i, inner)
         vec_add_scaled(out, term, coeff)
     return out
 
@@ -253,10 +249,10 @@ def _borcherds_residual(model, a, b, w, p: int, q: int, r: int) -> State:
     for i in range(_finite_floor(wa + wb - r - 1) + 1):
         if binom(p, i) == 0 and p >= 0 and i > p:
             break
-        ab = _mode_state(voa, a, r + i, b)
+        ab = mode_apply(voa, a, r + i, b)
         if not ab:
             continue
-        vec_add_scaled(lhs, _mode_state(model, ab, p + q - i, w), Fraction(binom(p, i)))
+        vec_add_scaled(lhs, mode_apply(model, ab, p + q - i, w), Fraction(binom(p, i)))
     rhs: State = {}
     i_stop = _finite_floor(max(wb + ww - q - 1 - model.lowest_weight,
                                wa + ww - p - 1 - model.lowest_weight))
@@ -265,9 +261,9 @@ def _borcherds_residual(model, a, b, w, p: int, q: int, r: int) -> State:
         if c == 0:
             continue
         coeff = Fraction((-1) ** i * c)
-        t1 = _mode_state(model, a, p + r - i, _mode_state(model, b, q + i, w))
+        t1 = mode_apply(model, a, p + r - i, mode_apply(model, b, q + i, w))
         vec_add_scaled(rhs, t1, coeff)
-        t2 = _mode_state(model, b, q + r - i, _mode_state(model, a, p + i, w))
+        t2 = mode_apply(model, b, q + r - i, mode_apply(model, a, p + i, w))
         vec_add_scaled(rhs, t2, -coeff * (-1 if r % 2 else 1))
     return state_sub(lhs, rhs)
 
@@ -279,15 +275,15 @@ def _associativity_residual(model, a, b, w, n: int, q: int) -> State:
     ww = model.state_weight(w)
     if wa is None or wb is None or ww is None:
         return {}
-    lhs = _mode_state(model, _mode_state(voa, a, -n, b), -q, w)
+    lhs = mode_apply(model, mode_apply(voa, a, -n, b), -q, w)
     rhs: State = {}
     i_stop = _finite_floor(max(wb + ww + q - 1 - model.lowest_weight,
                                wa + ww - 1 - model.lowest_weight))
     for i in range(i_stop + 1):
         coeff = Fraction(binom(-n, i) * (-1) ** i)
-        t1 = _mode_state(model, a, -n - i, _mode_state(model, b, -q + i, w))
+        t1 = mode_apply(model, a, -n - i, mode_apply(model, b, -q + i, w))
         vec_add_scaled(rhs, t1, coeff)
-        t2 = _mode_state(model, b, -n - q - i, _mode_state(model, a, i, w))
+        t2 = mode_apply(model, b, -n - q - i, mode_apply(model, a, i, w))
         vec_add_scaled(rhs, t2, -coeff * (-1) ** n)
     return state_sub(lhs, rhs)
 
@@ -299,24 +295,24 @@ def _commutator_residual(model, a, b, w, p: int, q: int) -> State:
     if wa is None or wb is None or ww is None:
         return {}
     lhs = state_sub(
-        _mode_state(model, a, p, _mode_state(model, b, q, w)),
-        _mode_state(model, b, q, _mode_state(model, a, p, w)),
+        mode_apply(model, a, p, mode_apply(model, b, q, w)),
+        mode_apply(model, b, q, mode_apply(model, a, p, w)),
     )
     rhs: State = {}
     for i in range(_finite_floor(wa + wb - 1) + 1):
-        ab = _mode_state(voa, a, i, b)
+        ab = mode_apply(voa, a, i, b)
         if not ab:
             continue
-        vec_add_scaled(rhs, _mode_state(model, ab, p + q - i, w), Fraction(binom(p, i)))
+        vec_add_scaled(rhs, mode_apply(model, ab, p + q - i, w), Fraction(binom(p, i)))
     return state_sub(lhs, rhs)
 
 
 def _translation_residual(model, a, w, q: int) -> State:
     """(L_{-1}a)(q)w + q a(q-1)w."""
     voa = model.voa
-    la = _mode_state(voa, voa.omega, 0, a)  # L_{-1} = omega(0)
-    t1 = _mode_state(model, la, q, w)
-    t2 = state_scale(_mode_state(model, a, q - 1, w), q)
+    la = mode_apply(voa, voa.omega, 0, a)  # L_{-1} = omega(0)
+    t1 = mode_apply(model, la, q, w)
+    t2 = state_scale(mode_apply(model, a, q - 1, w), q)
     return state_add(t1, t2)
 
 
@@ -325,34 +321,13 @@ def _translation_residual(model, a, w, q: int) -> State:
 
 
 def l1_apply(model: TruncatedModel, s: Mapping) -> State:
-    return _mode_state(model, model.voa.omega, 2, s)
+    return mode_apply(model, model.voa.omega, 2, s)
 
 
 def quasi_primary_space(model: TruncatedModel, degree: int) -> list[State]:
     """Basis of ker L_1 within the degree slice (exact kernel)."""
-    labels = model.labels_at(degree)
-    if not labels:
-        return []
-    kernel: list[State] = []
-    from .linalg import SolverEchelon
-
-    se = SolverEchelon()
-    images = [l1_apply(model, {lab: Fraction(1)}) for lab in labels]
-    # kernel of the map labels -> images: columns are added one at a time
-    # and a dependent column yields a kernel vector.
-    for idx, (lab, img) in enumerate(zip(labels, images)):
-        if not img:
-            kernel.append({lab: Fraction(1)})
-            continue
-        expr = se.solve(img)
-        if expr is None:
-            se.add(img, idx)
-            continue
-        vec: State = {lab: Fraction(1)}
-        for j, cf in expr.items():
-            vec_add_scaled(vec, {labels[j]: Fraction(1)}, -cf)
-        kernel.append(vec)
-    return kernel
+    return kernel_of((lab, l1_apply(model, {lab: Fraction(1)}))
+                     for lab in model.labels_at(degree))
 
 
 def is_quasi_primary_generated(model: TruncatedModel) -> bool:

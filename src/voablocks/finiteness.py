@@ -132,13 +132,6 @@ def _state_max_weight(model: TruncatedModel, s: Mapping) -> Fraction | None:
     return max((model.weight_of(k) for k in s), default=None)
 
 
-def _grade_split(model: TruncatedModel, s: Mapping) -> dict[int, State]:
-    out: dict[int, State] = {}
-    for lab, cf in s.items():
-        out.setdefault(model.degree_of(lab), {})[lab] = cf
-    return out
-
-
 def subspace_span(module: TruncatedModel, spec: SubspaceSpec) -> list[tuple[int, State]]:
     """Complete graded generator list of the specified subspace up to cutoff.
 
@@ -373,7 +366,9 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
                     bw = mode_apply(module, b, -1 - i, w_state)
                     if bw:
                         rec(c, qq - i, bw, sc)
-                    for j in range(wt_b + wt_c):
+                    # j = wt b + wt c - 1 leaves a multiple of the vacuum,
+                    # whose mode -(1 + q + j) <= -2 is zero.
+                    for j in range(wt_b + wt_c - 1):
                         bjc = mode_apply(voa, b, j, c)
                         if bjc:
                             rec(bjc, 1 + qq + j, w_state,

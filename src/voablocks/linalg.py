@@ -8,8 +8,9 @@ elimination routines never introduce approximate entries.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 Q = Fraction
 
@@ -34,7 +35,7 @@ def qstr(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sparse vectors and matrices
+# Sparse vectors and incremental elimination
 
 SparseVector = dict  # index -> Fraction, no stored zeros
 
@@ -49,104 +50,6 @@ def vec_add_scaled(dst: dict, src: Mapping, coeff: Fraction) -> None:
             dst[k] = new
         else:
             dst.pop(k, None)
-
-
-class SparseMatrix:
-    """Row-sparse matrix of exact rationals."""
-
-    def __init__(self, nrows: int, ncols: int, rows: Sequence[Mapping] | None = None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = [dict(r) for r in rows] if rows is not None else [dict() for _ in range(nrows)]
-        if len(self.rows) != nrows:
-            raise ValueError("row count mismatch")
-        for r in self.rows:
-            for c, v in r.items():
-                if not (0 <= c < ncols):
-                    raise ValueError(f"column index {c} out of range")
-                if v == 0:
-                    raise ValueError("stored zero entry")
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.rows[r].get(c, Fraction(0))
-
-    def mul_vec(self, v: Mapping) -> dict:
-        out = {}
-        for i, row in enumerate(self.rows):
-            s = sum((coeff * v[c] for c, coeff in row.items() if c in v), Fraction(0))
-            if s:
-                out[i] = s
-        return out
-
-
-def _pivot_cost(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
-def _echelonize(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
-    """In-place forward elimination; returns (echelon rows, pivot columns).
-
-    Pivot choice within a column favors minimal bit-length entries, which
-    keeps coefficient growth tame on the integer-like matrices produced by
-    the mode calculus.
-    """
-    work = [dict(r) for r in rows if r]
-    echelon: list[dict] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        best = None
-        for idx, row in enumerate(work):
-            v = row.get(col)
-            if v:
-                if best is None or _pivot_cost(v) < _pivot_cost(work[best][col]):
-                    best = idx
-        if best is None:
-            continue
-        prow = work.pop(best)
-        pv = prow[col]
-        remaining = []
-        for row in work:
-            v = row.get(col)
-            if v:
-                vec_add_scaled(row, prow, -v / pv)
-            if row:
-                remaining.append(row)
-        work = remaining
-        echelon.append(prow)
-        pivots.append(col)
-        if not work:
-            break
-    return echelon, pivots
-
-
-def rank_and_kernel(M: SparseMatrix) -> tuple[int, list[dict]]:
-    """Exact rank of M and a basis of its right kernel.
-
-    rank + len(kernel) == M.ncols, and M @ v == 0 exactly for every
-    returned kernel vector.
-    """
-    # Eliminate on the transpose-free layout: treat kernel as solutions of
-    # row equations, so echelonize the rows directly.
-    echelon, pivots = _echelonize(M.rows, M.ncols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(M.ncols) if c not in pivot_set]
-    kernel = []
-    # Back substitution per free column.
-    order = sorted(zip(pivots, echelon), reverse=True)
-    for f in free_cols:
-        v = {f: Fraction(1)}
-        for pcol, row in order:
-            s = sum((coeff * v[c] for c, coeff in row.items() if c != pcol and c in v), Fraction(0))
-            if s:
-                v[pcol] = -s / row[pcol]
-        kernel.append(v)
-    return len(pivots), kernel
-
-
-def rank_of_rows(rows: Iterable[Mapping], ncols: int) -> int:
-    echelon, _ = _echelonize([dict(r) for r in rows], ncols)
-    return len(echelon)
 
 
 class Echelon:
@@ -202,80 +105,57 @@ def _pivot_key(k):
     return (repr(type(k)), k) if not isinstance(k, (int, str, tuple)) else (str(type(k)), k)
 
 
-class SolverEchelon:
-    """Echelon with expression tracking: solve target = sum x_i row_i."""
+@dataclass(frozen=True)
+class _Expr:
+    """Coordinate carrying the expression weight of input ``index`` in a
+    ``SolverEchelon`` row; a distinct type, so it never equals a real key."""
+
+    index: object
+
+
+def _solver_pivot_key(k):
+    # Expression coordinates sort after every real key, so they never pivot.
+    return (1,) if isinstance(k, _Expr) else (0, _pivot_key(k))
+
+
+class SolverEchelon(Echelon):
+    """Echelon with expression tracking: solve target = sum x_i row_i.
+
+    Each added row carries the unit coordinate ``_Expr(index)``; reduction
+    then accumulates, in those coordinates, the combination of added rows
+    that was subtracted.  The added rows are independent, so the
+    combination ``solve`` returns is unique.
+    """
 
     def __init__(self):
-        self.rows: list[tuple[dict, dict]] = []  # (reduced row, expression over input indices)
-        self.pivots: dict = {}  # pivot key -> position in self.rows
+        super().__init__(pivot_key=_solver_pivot_key)
 
     def add(self, vec: Mapping, index) -> bool:
-        v, expr = self._reduce(vec)
-        if not v:
-            return False
-        vec_add_scaled(expr, {index: Fraction(1)}, Fraction(-1))
-        # expr currently: combination with -1 on the new index; normalize so
-        # that row = vec - sum(prev) and expression maps row -> coords.
-        pivot = min(v, key=_pivot_key)
-        pv = v[pivot]
-        v = {k: c / pv for k, c in v.items()}
-        expr = {k: -c / pv for k, c in expr.items()}
-        self.pivots[pivot] = len(self.rows)
-        self.rows.append((v, expr))
-        return True
-
-    def _reduce(self, vec: Mapping) -> tuple[dict, dict]:
-        v = dict(vec)
-        expr: dict = {}
-        while True:
-            hit = None
-            for k in v:
-                if k in self.pivots:
-                    hit = k
-                    break
-            if hit is None:
-                return v, expr
-            row, rexpr = self.rows[self.pivots[hit]]
-            c = v[hit]
-            vec_add_scaled(v, row, -c)
-            vec_add_scaled(expr, rexpr, c)
+        """Insert vec as input ``index``; returns True if it increased the rank."""
+        v = self.reduce({**vec, _Expr(index): Fraction(1)})
+        return not all(isinstance(k, _Expr) for k in v) and super().add(v)
 
     def solve(self, target: Mapping) -> dict | None:
         """Coefficients x (index -> Fraction) with sum x_i row_i == target, or None."""
-        v, expr = self._reduce(target)
-        if v:
+        v = self.reduce(target)
+        if not all(isinstance(k, _Expr) for k in v):
             return None
-        return expr
+        return {k.index: -c for k, c in v.items()}
 
 
-def solve_in_span(rows: Sequence[Mapping], target: Mapping) -> dict | None:
-    """Express target as an exact combination of rows; None if impossible."""
-    se = SolverEchelon()
-    for i, r in enumerate(rows):
-        se.add(r, i)
-    return se.solve(target)
+def kernel_of(pairs: Iterable[tuple[object, Mapping]]) -> list[dict]:
+    """Kernel of the linear map label -> image, from (label, image) pairs.
 
-
-def span_quotient_dims(ambient_dims: Sequence[int], spanning: Iterable[tuple[int, Mapping]]) -> list[int]:
-    """Per-degree dimensions of ambient/span.
-
-    ambient_dims[d] is the dimension of the degree-d slice; spanning is an
-    iterable of (degree, coefficient dict over 0..ambient_dims[degree)-1).
+    Labels are taken in order; each label whose image depends on earlier
+    images yields one kernel vector ``label - combination of earlier labels``.
     """
-    buckets: dict[int, list] = {}
-    for d, vec in spanning:
-        if not (0 <= d < len(ambient_dims)):
-            raise ValueError(f"spanning vector degree {d} outside ambient range")
-        for idx in vec:
-            if not (0 <= idx < ambient_dims[d]):
-                raise ValueError(f"index {idx} out of range for degree {d}")
-        if vec:
-            buckets.setdefault(d, []).append(vec)
-    out = []
-    for d, dim in enumerate(ambient_dims):
-        rk = rank_of_rows(buckets.get(d, []), dim)
-        out.append(dim - rk)
-    return out
+    se = SolverEchelon()
+    kernel: list[dict] = []
+    for label, image in pairs:
+        if not se.add(image, label):
+            expr = se.solve(image)
+            kernel.append({label: Fraction(1), **{j: -cf for j, cf in expr.items()}})
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +296,7 @@ class BivariatePoly:
         return r
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        r = BivariatePoly()
-        out = dict(self.c)
-        for k, v in other.c.items():
-            n = out.get(k, Laurent()) - v
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-        r.c = out
-        return r
+        return self + BivariatePoly({k: -v for k, v in other.c.items()})
 
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
         out: dict[tuple[int, int], Laurent] = {}

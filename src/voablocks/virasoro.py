@@ -16,7 +16,7 @@ from .linalg import (
     BivariatePoly,
     Echelon,
     Laurent,
-    SolverEchelon,
+    kernel_of,
     vec_add_scaled,
 )
 
@@ -142,30 +142,14 @@ def singular_vectors(c: Fraction, h: Fraction, level: int) -> list[State]:
     L_n u = 0 for all n >= 3 then follows from the bracket relations, so
     these are precisely the singular vectors.
     """
-    if level == 0:
-        return [{(): Fraction(1)}]
     act = VermaAction(c, h)
-    labels = partitions(level)
-    se = SolverEchelon()
-    kernel: list[State] = []
-    for idx, part in enumerate(labels):
-        img: dict = {}
-        for lab, cf in act.L(1, part).items():
-            img[("L1", lab)] = cf
-        for lab, cf in act.L(2, part).items():
-            img[("L2", lab)] = cf
-        if not img:
-            kernel.append({part: Fraction(1)})
-            continue
-        expr = se.solve(img)
-        if expr is None:
-            se.add(img, idx)
-            continue
-        vec: State = {part: Fraction(1)}
-        for j, cf in expr.items():
-            vec_add_scaled(vec, {labels[j]: Fraction(1)}, -cf)
-        kernel.append(vec)
-    return kernel
+
+    def image(part) -> dict:
+        img = {("L1", lab): cf for lab, cf in act.L(1, part).items()}
+        img.update({("L2", lab): cf for lab, cf in act.L(2, part).items()})
+        return img
+
+    return kernel_of((part, image(part)) for part in partitions(level))
 
 
 # ---------------------------------------------------------------------------

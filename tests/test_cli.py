@@ -131,6 +131,26 @@ def test_blocks_dim_builds_each_distinct_label_once(tmp_path, capsys, monkeypatc
     assert json.loads(out)["result"]["total"] == 1  # sigma x sigma contains eps once
 
 
+@pytest.mark.parametrize("field,value", [
+    ("D", -1), ("P", -1), ("D", 2.5), ("P", "4"), ("D", True),
+])
+def test_blocks_dim_rejects_bad_d_or_p(tmp_path, capsys, field, value):
+    config = {
+        "points": ["0"],
+        "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1},
+        "labels": ["vacuum"],
+        "D": 4,
+        "P": 2,
+    }
+    config[field] = value
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(config))
+    assert main(["blocks", "dim", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"schema error: config: field {field!r}")
+
+
 @pytest.mark.parametrize("argv", [
     ["quotient", "--space", "c2", "--model", "ising", "--cutoff", "-1"],
     ["check-identities", "--cutoff", "-1"],

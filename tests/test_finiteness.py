@@ -199,3 +199,20 @@ def test_certificate_rejects_entries_below_m():
     omega_u = next(u for u in U if m.state_weight(u) == 2)
     with pytest.raises(VerificationError):
         reduce_certificate(m, omega_u, -2, m.basis_state(()), U, m=-1)
+
+
+@pytest.fixture(scope="module")
+def sigma_and_u():
+    U, _, _ = complement_U(ising_model(cutoff=12))
+    return irreducible_model(4, 3, 2, 2, 13), U
+
+
+@pytest.mark.parametrize("part,n_entries", [((2, 2, 2), 56), ((3, 3), 19), ((4, 2), 18)])
+def test_certificate_skips_vacuum_weight_commutator_term(sigma_and_u, part, n_entries):
+    # The commutator route meets b(j)c of weight 0 here, a multiple of the
+    # vacuum whose mode is zero; reducing it used to raise ValueError.
+    sigma, U = sigma_and_u
+    w = sigma.basis_state(())
+    cert = reduce_certificate(sigma, sigma.voa.basis_state(part), 6, w, U, m=1)
+    assert len(cert.entries) == n_entries
+    assert cert.verify(sigma)

@@ -10,12 +10,9 @@ from voablocks.linalg import (
     Echelon,
     Laurent,
     SolverEchelon,
-    SparseMatrix,
+    kernel_of,
     qparse,
     qstr,
-    rank_and_kernel,
-    solve_in_span,
-    span_quotient_dims,
 )
 
 
@@ -66,31 +63,40 @@ def test_solver_echelon_recovers_coefficients():
         assert {k: v for k, v in replay.items() if v} == target
 
 
-def test_rank_and_kernel_exact():
-    m = SparseMatrix(3, 3, [
+def test_kernel_of_exact():
+    # columns of the 3x3 matrix with rows {0: 1, 1: 2}, {1: 1, 2: 1}, row1 - row2
+    rows = [
         {0: Fraction(1), 1: Fraction(2)},
         {1: Fraction(1), 2: Fraction(1)},
-        {0: Fraction(1), 1: Fraction(1), 2: Fraction(-1)},  # row1 - row2
-    ])
-    rank, kernel = rank_and_kernel(m)
-    assert rank == 2
-    assert len(kernel) == 1
+        {0: Fraction(1), 1: Fraction(1), 2: Fraction(-1)},
+    ]
+    columns = [(j, {i: r[j] for i, r in enumerate(rows) if j in r}) for j in range(3)]
+    kernel = kernel_of(columns)
+    assert len(kernel) == 1  # rank 2
     vec = kernel[0]
     # check the kernel vector against both independent rows
     assert sum(Fraction(vec.get(j, 0)) * c for j, c in {0: 1, 1: 2}.items()) == 0
     assert sum(Fraction(vec.get(j, 0)) * c for j, c in {1: 1, 2: 1}.items()) == 0
 
 
-def test_solve_in_span():
-    rows = [{0: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}]
-    assert solve_in_span(rows, {0: Fraction(2), 1: Fraction(3), 2: Fraction(3)})
-    assert solve_in_span(rows, {1: Fraction(1)}) is None
+def test_solver_echelon_add_and_solve():
+    se = SolverEchelon()
+    assert se.add({0: Fraction(1)}, 0)
+    assert se.add({1: Fraction(1), 2: Fraction(1)}, 1)
+    assert not se.add({0: Fraction(3), 1: Fraction(2), 2: Fraction(2)}, 2)
+    assert se.rank == 2
+    assert se.solve({0: Fraction(2), 1: Fraction(3), 2: Fraction(3)}) == {0: 2, 1: 3}
+    assert se.solve({1: Fraction(1)}) is None
 
 
-def test_span_quotient_dims():
+def test_per_degree_echelon_rank():
+    ambient_dims = [1, 3, 2]
     spanning = [(0, {0: Fraction(1)}), (1, {1: Fraction(1)}),
                 (1, {1: Fraction(2)})]
-    assert span_quotient_dims([1, 3, 2], spanning) == [0, 2, 2]
+    echelons = [Echelon() for _ in ambient_dims]
+    for d, vec in spanning:
+        echelons[d].add(vec)
+    assert [dim - e.rank for dim, e in zip(ambient_dims, echelons)] == [0, 2, 2]
 
 
 def test_laurent_arithmetic():

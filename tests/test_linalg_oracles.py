@@ -1,0 +1,75 @@
+"""Elimination checked against sympy, which shares no code with ``linalg``."""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from voablocks.linalg import Echelon, SolverEchelon, kernel_of
+
+# Small entries with many zeros, so that dependent rows turn up often.
+entries = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=5):
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def sparse(row) -> dict:
+    return {j: v for j, v in enumerate(row) if v}
+
+
+def sympy_rank(rows) -> int:
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                         for row in rows]).rank() if rows else 0
+
+
+small = settings(max_examples=40, deadline=None)
+
+
+@small
+@given(matrices())
+def test_kernel_of_matches_sympy_rank_and_is_killed(m):
+    ncols = len(m[0])
+    columns = [(j, {i: row[j] for i, row in enumerate(m) if row[j]}) for j in range(ncols)]
+    kernel = kernel_of(columns)
+    assert len(kernel) == ncols - sympy_rank(m)
+    for vec in kernel:
+        assert all(sum(row[j] * c for j, c in vec.items()) == 0 for row in m)
+
+
+@small
+@given(matrices(), st.data())
+def test_solver_echelon_replays_or_reports_rank_rise(m, data):
+    se = SolverEchelon()
+    for i, row in enumerate(m):
+        rises = sympy_rank(m[:i + 1]) > sympy_rank(m[:i])
+        assert se.add(sparse(row), i) == rises
+    target = data.draw(st.lists(entries, min_size=len(m[0]), max_size=len(m[0])))
+    expr = se.solve(sparse(target))
+    if sympy_rank(m + [target]) > sympy_rank(m):
+        assert expr is None
+        return
+    assert expr is not None
+    replay = [sum(expr.get(i, 0) * row[j] for i, row in enumerate(m))
+              for j in range(len(target))]
+    assert replay == target
+
+
+@small
+@given(matrices(), st.randoms(use_true_random=False))
+def test_echelon_rank_is_invariant_under_row_permutation(m, rng):
+    shuffled = list(m)
+    rng.shuffle(shuffled)
+    ranks = []
+    for rows in (m, shuffled):
+        ech = Echelon()
+        for row in rows:
+            ech.add(sparse(row))
+        ranks.append(ech.rank)
+    assert ranks[0] == ranks[1] == sympy_rank(m)
