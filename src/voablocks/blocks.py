@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import (
-    State,
     TruncatedModel,
     TruncationError,
     binom,
@@ -24,7 +23,6 @@ from .core import (
 )
 from .finiteness import SubspaceSpec, complement_U, quotient_report
 from .linalg import Echelon, vec_add_scaled
-from .virasoro import VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -167,28 +165,87 @@ def laurent_expand(line: PointedLine, f: MeromorphicSection, i: int,
 
 # ---------------------------------------------------------------------------
 # Quasi-global vertex operators on tensor states
+#
+# A quasi-global operator (a, f) is a sum over slots, each term acting on
+# one tensor factor only: slot i sends a label w of module i to
+# Res_{z_i} Y(a, z_i) ι_{z_i}f w.  Every computation below builds these
+# single-module slot maps once per operator, on the labels it needs, and
+# embeds them over pure tensors.
 
 
-def _tensor_degree(surface: LabeledLine, labs: tuple) -> int:
-    return sum(m.degree_of(lab) for m, lab in zip(surface.modules, labs))
-
-
-def pure_tensors(surface: LabeledLine, max_degree: int) -> list[tuple]:
-    """All pure tensor labels with total degree <= max_degree."""
-    out: list[tuple] = [()]
+def _graded_tensors(surface: LabeledLine, max_degree: int) -> list[tuple]:
+    """(labels, total degree) for every pure tensor of degree <= max_degree."""
+    out: list[tuple] = [((), 0)]
     for m in surface.modules:
         nxt = []
-        for labs in out:
-            used = _partial_degree(surface, labs)
+        for labs, used in out:
             for d in range(max_degree - used + 1):
                 for lab in m.labels_at(d):
-                    nxt.append(labs + (lab,))
+                    nxt.append((labs + (lab,), used + d))
         out = nxt
     return out
 
 
-def _partial_degree(surface: LabeledLine, labs: tuple) -> int:
-    return sum(surface.modules[k].degree_of(lab) for k, lab in enumerate(labs))
+def pure_tensors(surface: LabeledLine, max_degree: int) -> list[tuple]:
+    """All pure tensor labels with total degree <= max_degree."""
+    return [labs for labs, _ in _graded_tensors(surface, max_degree)]
+
+
+def _labels_upto(mod: TruncatedModel, degree: int) -> list:
+    return [lab for d in range(degree + 1) for lab in mod.labels_at(d)]
+
+
+def slot_matrices(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
+                  labels: Sequence, check_quasi_primary: bool = True) -> list[dict]:
+    """Per slot i, {w: Res_{z_i} Y(a, z_i) ι_{z_i}f w} for w in labels[i].
+
+    The operator (a, f) is the sum over slots of these single-module maps.
+    Raises ValueError if wt a differs from the section weight, or (with
+    check_quasi_primary) if a is not quasi-primary.
+    """
+    voa = surface.voa
+    wt_a = voa.state_weight(a)
+    if wt_a is None:
+        return [{lab: {} for lab in labs} for labs in labels]
+    if wt_a != f.weight:
+        raise ValueError(f"state weight {wt_a} does not match section weight "
+                         f"{f.weight}")
+    if check_quasi_primary and l1_apply(voa, a):
+        raise ValueError("quasi-global operators require a quasi-primary state")
+    wt_a = int(wt_a)
+    out = []
+    for i, (mod, labs) in enumerate(zip(surface.modules, labels)):
+        degrees = {lab: mod.degree_of(lab) for lab in labs}
+        mat: dict = {}
+        if degrees:
+            # a(n)w vanishes for n > wt a + deg w - 1 (its degree is < 0).
+            coeffs = laurent_expand(surface.line, f, i,
+                                    wt_a + max(degrees.values()) - 1)
+            for lab, deg in degrees.items():
+                img: dict = {}
+                for n, c in coeffs.items():
+                    if n < wt_a + deg:
+                        vec_add_scaled(img, mode_apply(mod, a, n, {lab: Fraction(1)}), c)
+                mat[lab] = img
+        out.append(mat)
+    return out
+
+
+def _tensor_image(mats: Sequence[dict], labs: tuple) -> dict:
+    """Image of the pure tensor labs under the sum over slots of mats[i]."""
+    out: dict = {}
+    for i, mat in enumerate(mats):
+        for lab2, c in mat[labs[i]].items():
+            key = labs[:i] + (lab2,) + labs[i + 1:]
+            if key not in out:  # the common case: no other slot reached key
+                out[key] = c
+                continue
+            new = out[key] + c
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return out
 
 
 def qgvo_apply(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
@@ -197,35 +254,74 @@ def qgvo_apply(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
 
     w maps tuples of module basis labels to coefficients.
     """
-    voa = surface.voa
-    wt_a = voa.state_weight(a)
-    if wt_a is None:
-        return {}
-    if wt_a != f.weight:
-        raise ValueError(f"state weight {wt_a} does not match section weight "
-                         f"{f.weight}")
-    if check_quasi_primary and l1_apply(voa, a):
-        raise ValueError("quasi-global operators require a quasi-primary state")
+    labels = [list(dict.fromkeys(labs[i] for labs in w))
+              for i in range(len(surface.modules))]
+    mats = slot_matrices(surface, a, f, labels, check_quasi_primary)
     out: dict = {}
     for labs, cf in w.items():
-        for i, mod in enumerate(surface.modules):
-            wlab = labs[i]
-            n_max = int(wt_a) + mod.degree_of(wlab) - 1
-            coeffs = laurent_expand(surface.line, f, i, n_max)
-            for n, c in coeffs.items():
-                res = mode_apply(mod, a, n, {wlab: Fraction(1)})
-                for lab2, c2 in res.items():
-                    key = labs[:i] + (lab2,) + labs[i + 1:]
-                    new = out.get(key, 0) + cf * c * c2
-                    if new:
-                        out[key] = new
-                    else:
-                        out.pop(key, None)
+        vec_add_scaled(out, _tensor_image(mats, labs), cf)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Lie-closure of quasi-global operators
+
+
+def _compose(outer: dict, inner: dict) -> dict:
+    """outer ∘ inner for label maps, as {label: state}."""
+    out: dict = {}
+    for lab, img in inner.items():
+        comp: dict = {}
+        for lab2, c in img.items():
+            vec_add_scaled(comp, outer[lab2], c)
+        out[lab] = comp
+    return out
+
+
+def _operator_matrix(mats: Sequence[dict], domain: list[tuple]) -> dict:
+    """{(tensor, image tensor): coefficient} of the sum over slots of mats."""
+    return {(labs, out_labs): c for labs in domain
+            for out_labs, c in _tensor_image(mats, labs).items()}
+
+
+def _bracket_matrix(surface: LabeledLine, op1: tuple, op2: tuple):
+    """(domain, per-slot domain labels, matrix of [op1, op2] on the domain).
+
+    The domain is every pure tensor of degree <= d_dom, the largest degree
+    from which both orders of composition stay within every cutoff.  Slots
+    act on different tensor factors, so [op1, op2] is the sum over slots of
+    the single-module commutators [A_i, B_i].
+    """
+    (a, f), (b, g) = op1, op2
+    voa = surface.voa
+    wa, wb = int(voa.state_weight(a)), int(voa.state_weight(b))
+    raise_total = max(
+        (wa + f.pole_order(i) - 1) + (wb + g.pole_order(i) - 1)
+        for i in range(len(surface.line.points))
+    )
+    raise_total = max(raise_total, 0)
+    min_cut = min(m.cutoff for m in surface.modules)
+    d_dom = min_cut - raise_total
+    if d_dom < 0:
+        raise TruncationError("module cutoffs too small for the bracket domain")
+    dom_labels = [_labels_upto(m, d_dom) for m in surface.modules]
+
+    # Each slot map also acts on the other's images, which climb by at most
+    # wt + pole order - 1 above the domain.
+    def reach(wt: int, h: MeromorphicSection) -> list[list]:
+        return [_labels_upto(m, d_dom + max(0, wt + h.pole_order(i) - 1))
+                for i, m in enumerate(surface.modules)]
+
+    A = slot_matrices(surface, a, f, reach(wb, g))
+    B = slot_matrices(surface, b, g, reach(wa, f))
+    comm = []
+    for A_i, B_i, labs in zip(A, B, dom_labels):
+        c_i = _compose(A_i, {lab: B_i[lab] for lab in labs})
+        for lab, img in _compose(B_i, {lab: A_i[lab] for lab in labs}).items():
+            vec_add_scaled(c_i[lab], img, Fraction(-1))
+        comm.append(c_i)
+    domain = pure_tensors(surface, d_dom)
+    return domain, dom_labels, _operator_matrix(comm, domain)
 
 
 def bracket_closure_check(surface: LabeledLine, op1: tuple, op2: tuple) -> bool:
@@ -236,54 +332,24 @@ def bracket_closure_check(surface: LabeledLine, op1: tuple, op2: tuple) -> bool:
     bounds ord_i f + ord_i g + (wt a + wt b - 1 - wt c), which is where the
     bracket's section data can live.
     """
+    domain, dom_labels, target = _bracket_matrix(surface, op1, op2)
+    if not target:
+        return True
     (a, f), (b, g) = op1, op2
     voa = surface.voa
     wa, wb = int(voa.state_weight(a)), int(voa.state_weight(b))
-    n = len(surface.line.points)
-    raise_total = max(
-        (wa + f.pole_order(i) - 1) + (wb + g.pole_order(i) - 1)
-        for i in range(n)
-    )
-    raise_total = max(raise_total, 0)
-    min_cut = min(m.cutoff for m in surface.modules)
-    d_dom = min_cut - raise_total
-    if d_dom < 0:
-        raise TruncationError("module cutoffs too small for the bracket domain")
-    domain = pure_tensors(surface, d_dom)
-
-    def flatten(apply_fn) -> dict:
-        mat: dict = {}
-        for labs in domain:
-            res = apply_fn({labs: Fraction(1)})
-            for out_labs, c in res.items():
-                mat[(labs, out_labs)] = c
-        return mat
-
-    def commutator(w):
-        first = qgvo_apply(surface, b, g, qgvo_apply(surface, a, f, w))
-        second = qgvo_apply(surface, a, f, qgvo_apply(surface, b, g, w))
-        for k, v in second.items():
-            nv = first.get(k, 0) - v
-            if nv:
-                first[k] = nv
-            else:
-                first.pop(k, None)
-        return first
-
-    target = flatten(commutator)
-    if not target:
-        return True
     ech = Echelon()
     for dc in range(1, wa + wb):
         bounds = [f.pole_order(i) + g.pole_order(i) + (wa + wb - 1 - dc)
-                  for i in range(n)]
+                  for i in range(len(surface.line.points))]
         cands = quasi_primary_space(voa, dc)
         if not cands:
             continue
         sections = section_basis(surface.line, dc, bounds)
         for c_state in cands:
             for h in sections:
-                mat = flatten(lambda w: qgvo_apply(surface, c_state, h, w))
+                mat = _operator_matrix(
+                    slot_matrices(surface, c_state, h, dom_labels), domain)
                 if mat:
                     ech.add(mat)
     return ech.contains(target)
@@ -335,7 +401,12 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     if any(m.cutoff < D for m in surface.modules):
         raise ValueError("module cutoffs must reach the degree cutoff D")
     n = len(surface.line.points)
-    sources = pure_tensors(surface, d_valid)
+    graded = _graded_tensors(surface, d_valid)
+    sources = [labs for labs, _ in graded]
+    source_labels = [_labels_upto(m, d_valid) for m in surface.modules]
+    # A relation from a source of degree <= d_valid stays within degree D.
+    degree = [{lab: d for d in range(D + 1) for lab in m.labels_at(d)}
+              for m in surface.modules]
     # Pivot keys are (D - degree, label), so elimination always pivots on a
     # relation's highest-degree component; the pivot count at degree p is
     # then dim of the degree-p graded piece of the relation span.
@@ -347,17 +418,20 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
         sections = section_basis(surface.line, da, [P] * n)
         for a in qps:
             for f in sections:
-                for labs in sources:
-                    rel = qgvo_apply(surface, a, f, {labs: Fraction(1)},
+                mats = slot_matrices(surface, a, f, source_labels,
                                      check_quasi_primary=False)
+                for labs in sources:
+                    rel = _tensor_image(mats, labs)
                     if not rel:
                         continue
-                    ech.add({(D - _tensor_degree(surface, k), k): v
+                    ech.add({(D - sum(dg[lab] for dg, lab in zip(degree, k)), k): v
                              for k, v in rel.items()})
     killed = [0] * (D + 1)
     for (dk, _labs) in ech.pivot_rows:
         killed[D - dk] += 1
-    dims = _tensor_dims(surface, d_valid)
+    dims = [0] * (d_valid + 1)
+    for _, d in graded:
+        dims[d] += 1
     est = [dims[p] - killed[p] for p in range(d_valid + 1)]
     stabilized = len(est) >= window and all(x == 0 for x in est[-window:])
     bound, provisional = (0, True)
@@ -368,13 +442,6 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
         params={"D": D, "P": P, "w_max": w_max,
                 "points": [str(p) for p in surface.line.points]},
     )
-
-
-def _tensor_dims(surface: LabeledLine, max_degree: int) -> list[int]:
-    dims = [0] * (max_degree + 1)
-    for labs in pure_tensors(surface, max_degree):
-        dims[_tensor_degree(surface, labs)] += 1
-    return dims
 
 
 def theorem_bound(surface: LabeledLine) -> tuple[int, bool]:

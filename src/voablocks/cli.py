@@ -37,7 +37,6 @@ from .virasoro import (
     VerificationError,
     ff_verify,
     irreducible_model,
-    ising_model,
     minimal_params_values,
     quotient_ring_bounds,
     singular_vectors,

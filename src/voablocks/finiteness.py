@@ -18,7 +18,6 @@ from .core import (
     binom,
     mode_apply,
     quasi_primary_space,
-    state_scale,
 )
 from .linalg import Echelon, SolverEchelon, vec_add_scaled
 from .virasoro import VerificationError
@@ -321,6 +320,11 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
     every recursive call strictly decreases wt a.
     """
     voa = module.voa
+    for name, model, state in (("a", voa, a), ("w", module, w)):
+        for lab in state:
+            if lab not in model.labels_at(model.degree_of(lab)):
+                raise ValueError(f"{name} holds {lab!r}, which is not a basis "
+                                 f"label of the model")
     cert = ReductionCertificate(dict(a), q, dict(w), m)
     dec = _UDecomposer(voa, U)
 

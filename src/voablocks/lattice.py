@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import State, TruncatedModel, TruncationError, mode_apply
 from .linalg import Echelon, qstr, vec_add_scaled
@@ -205,7 +205,13 @@ class FockModel(TruncatedModel):
             raise ValueError("a module needs an explicit VOA model")
         self.vacuum = ((), zero)
         self._zero = zero
-        self._grounds = grounds
+        self._halfnorms = dict(grounds)  # gamma -> <mu|mu>/2, mu = lambda + gamma
+        om: State = {}
+        for i in range(r):
+            for j in range(r):
+                lab = (tuple(sorted([(1, i), (1, j)], reverse=True)), zero)
+                vec_add_scaled(om, {lab: Fraction(1)}, lat.inv[i][j] / 2)
+        self._omega = om
         self._creation_cache: dict = {}
         self._labels: dict[int, tuple] = {d: () for d in range(cutoff + 1)}
         tmp: dict[int, list] = {d: [] for d in range(cutoff + 1)}
@@ -223,13 +229,7 @@ class FockModel(TruncatedModel):
     # -- TruncatedModel interface ------------------------------------------
     @property
     def omega(self) -> State:
-        om: State = {}
-        r = self.lattice.rank
-        for i in range(r):
-            for j in range(r):
-                lab = (tuple(sorted([(1, i), (1, j)], reverse=True)), self._zero)
-                vec_add_scaled(om, {lab: Fraction(1)}, self.lattice.inv[i][j] / 2)
-        return om
+        return dict(self._omega)
 
     def labels_at(self, degree: int) -> tuple:
         if degree < 0 or degree > self.cutoff:
@@ -238,8 +238,11 @@ class FockModel(TruncatedModel):
 
     def weight_of(self, label) -> Fraction:
         heis, gamma = label
-        mu = tuple(self.lam_alpha[i] + gamma[i] for i in range(self.lattice.rank))
-        return self.lattice.halfnorm(mu) + sum(n for n, _ in heis)
+        hn = self._halfnorms.get(gamma)
+        if hn is None:  # a momentum above the cutoff
+            hn = self.lattice.halfnorm(tuple(
+                self.lam_alpha[i] + gamma[i] for i in range(self.lattice.rank)))
+        return hn + sum(n for n, _ in heis)
 
     def gen_weight(self, gen_id) -> Fraction:
         if gen_id[0] == "h":

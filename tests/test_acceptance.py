@@ -226,18 +226,23 @@ def test_criterion_7_certificates():
               "(Ising, m = 2)")
 
 
-def _ising_surface(points, labels, cutoff=10):
+def _ising_modules(cutoff=10):
+    """The Ising vacuum, ε and σ modules over one VOA model, each built once."""
     voa = ising_model(cutoff)
-    by_name = {
-        "1": lambda: voa,
-        "eps": lambda: irreducible_model(4, 3, 2, 1, cutoff, voa=voa),
-        "sigma": lambda: irreducible_model(4, 3, 2, 2, cutoff, voa=voa),
+    return {
+        "1": voa,
+        "eps": irreducible_model(4, 3, 2, 1, cutoff, voa=voa),
+        "sigma": irreducible_model(4, 3, 2, 2, cutoff, voa=voa),
     }
-    return LabeledLine(PointedLine(points), [by_name[l]() for l in labels])
+
+
+def _ising_surface(points, labels, modules):
+    return LabeledLine(PointedLine(points), [modules[l] for l in labels])
 
 
 def test_criterion_8_blocks():
     start = time.time()
+    modules = _ising_modules()
     cases = [
         (("1", "1", "1"), 1),
         (("eps", "eps", "1"), 1),
@@ -247,17 +252,17 @@ def test_criterion_8_blocks():
     for labels, expect in cases:
         totals = []
         for (d, p) in ((9, 3), (10, 4)):  # sweep within D <= 10, P <= 8
-            surface = _ising_surface((0, 1, -1), labels)
+            surface = _ising_surface((0, 1, -1), labels, modules)
             rep = coinvariant_report(surface, D=d, P=p)
             assert rep.stabilized, (labels, d, p)
             assert rep.total <= rep.theorem_bound
             totals.append(rep.total)
         assert totals == [expect, expect], labels
         # invariance under moving the third point
-        moved = _ising_surface((0, 1, -2), labels)
+        moved = _ising_surface((0, 1, -2), labels, modules)
         rep = coinvariant_report(moved, D=10, P=4, with_bound=False)
         assert rep.stabilized and rep.total == expect
-    voa_only = _ising_surface((0,), ("1",))
+    voa_only = _ising_surface((0,), ("1",), modules)
     rep = coinvariant_report(voa_only, D=10, P=4)
     assert rep.total == 1 and rep.stabilized
     assert rep.total <= rep.theorem_bound

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from voablocks.blocks import (
+    _bracket_matrix,
     LabeledLine,
     MeromorphicSection,
     PointedLine,
@@ -19,8 +20,9 @@ from voablocks.blocks import (
     section_basis,
     theorem_bound,
 )
-from voablocks.core import mode_apply
-from voablocks.virasoro import ising_model
+from voablocks.core import TruncationError, mode_apply, quasi_primary_space
+from voablocks.lattice import lattice_model
+from voablocks.virasoro import irreducible_model, ising_model
 
 
 OMEGA = {(2,): Fraction(1)}
@@ -105,6 +107,100 @@ def test_qgvo_checks_weight_and_quasi_primary():
     f3 = MeromorphicSection(3, poles={(0, 1): Fraction(1)})
     with pytest.raises(ValueError):
         qgvo_apply(surface, {(3,): Fraction(1)}, f3, {((),): Fraction(1)})
+
+
+# -- oracle: the per-tensor, per-slot operator, sharing nothing with slot maps
+
+
+def _brute_qgvo(surface, a, f, w):
+    """Res_{z_i} Y(a, z_i) ι_{z_i}f summed over slots, one tensor at a time."""
+    wt = int(surface.voa.state_weight(a))
+    out = {}
+    for labs, cf in w.items():
+        for i, mod in enumerate(surface.modules):
+            n_max = wt + mod.degree_of(labs[i]) - 1
+            for n, c in laurent_expand(surface.line, f, i, n_max).items():
+                res = mode_apply(mod, a, n, {labs[i]: Fraction(1)})
+                for lab2, c2 in res.items():
+                    key = labs[:i] + (lab2,) + labs[i + 1:]
+                    out[key] = out.get(key, 0) + cf * c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _brute_bracket(surface, op1, op2, w):
+    """[O1, O2]w = O1(O2 w) - O2(O1 w), composing whole operators."""
+    (a, f), (b, g) = op1, op2
+    out = dict(_brute_qgvo(surface, a, f, _brute_qgvo(surface, b, g, w)))
+    for k, v in _brute_qgvo(surface, b, g, _brute_qgvo(surface, a, f, w)).items():
+        out[k] = out.get(k, 0) - v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ising_two_point():
+    voa = ising_model(10)
+    line = PointedLine((0, 1))
+    mixed = MeromorphicSection(2, poly={0: 1, 2: 3},
+                               poles={(0, 1): Fraction(1, 2), (1, 1): -2})
+    ops = [(OMEGA, s) for s in section_basis(line, 2, [1, 1])] + [(OMEGA, mixed)]
+    return LabeledLine(line, [voa, voa]), [(ops[0], ops[1]), (ops[3], ops[5]),
+                                           (ops[2], ops[4])]
+
+
+def _a1_two_point():
+    voa = lattice_model([[2]], cutoff=6)
+    line = PointedLine((0, 1))
+    states = quasi_primary_space(voa, 1)
+    sections = section_basis(line, 1, [1, 1])
+    ops = [(a, f) for a in states for f in sections]
+    return LabeledLine(line, [voa, voa]), [(ops[0], ops[4]), (ops[1], ops[8]),
+                                           (ops[5], ops[6])]
+
+
+def _ising_three_point():
+    voa = ising_model(8)
+    sigma = irreducible_model(4, 3, 2, 2, 8, voa=voa)
+    eps = irreducible_model(4, 3, 2, 1, 8, voa=voa)
+    line = PointedLine((0, 1, -1))
+    f = MeromorphicSection(2, poles={(0, 1): Fraction(1)})
+    g = MeromorphicSection(2, poly={1: Fraction(1, 3)},
+                           poles={(2, 1): Fraction(1), (1, 1): Fraction(-1)})
+    return LabeledLine(line, [sigma, eps, voa]), [((OMEGA, f), (OMEGA, g))]
+
+
+@pytest.mark.parametrize("build", [_ising_two_point, _a1_two_point,
+                                   _ising_three_point])
+def test_slot_maps_match_per_tensor_oracle(build):
+    surface, pairs = build()
+    for op1, op2 in pairs:
+        domain, _, matrix = _bracket_matrix(surface, op1, op2)
+        assert domain
+        got: dict = {}
+        for (labs, out_labs), c in matrix.items():
+            got.setdefault(labs, {})[out_labs] = c
+        for labs in domain:
+            w = {labs: Fraction(1)}
+            for a, f in (op1, op2):
+                assert qgvo_apply(surface, a, f, w) == _brute_qgvo(surface, a, f, w)
+            assert got.get(labs, {}) == _brute_bracket(surface, op1, op2, w)
+        assert bracket_closure_check(surface, op1, op2)
+
+
+def test_bracket_errors_unchanged():
+    surface, voa = one_point_ising(10)
+    line = PointedLine((0, 1))
+    two = LabeledLine(line, [voa, voa])
+    f = MeromorphicSection(2, poles={(0, 1): Fraction(1)})
+    g = MeromorphicSection(2, poles={(1, 1): Fraction(1)})
+    small = ising_model(2)  # the bracket climbs 3 degrees in each slot
+    with pytest.raises(TruncationError):
+        bracket_closure_check(LabeledLine(line, [small, small]), (OMEGA, f), (OMEGA, g))
+    f3 = MeromorphicSection(3, poles={(0, 1): Fraction(1)})
+    l3 = {(3,): Fraction(1)}  # L_{-3}1 = L_{-1}omega is not quasi-primary
+    with pytest.raises(ValueError, match="quasi-primary"):
+        bracket_closure_check(two, (l3, f3), (OMEGA, g))
+    f1 = MeromorphicSection(1, poles={(0, 1): Fraction(1)})
+    with pytest.raises(ValueError, match="does not match"):
+        bracket_closure_check(two, (OMEGA, g), (OMEGA, f1))
 
 
 def test_pure_tensors_enumeration():

@@ -201,6 +201,18 @@ def test_certificate_rejects_entries_below_m():
         reduce_certificate(m, omega_u, -2, m.basis_state(()), U, m=-1)
 
 
+@pytest.mark.parametrize("a,w", [({(6,): Fraction(1)}, {(): Fraction(1)}),
+                                 ({(2,): Fraction(1)}, {(6,): Fraction(1)})])
+def test_certificate_rejects_non_basis_labels(a, w):
+    # L_{-6}1 is a pivot partition of the Ising quotient at weight 6, not a
+    # basis label; the error names it instead of blaming U.
+    m = ising_model(cutoff=11)
+    U, _, _ = complement_U(m)
+    assert (6,) not in m.labels_at(6)
+    with pytest.raises(ValueError, match=r"\(6,\)"):
+        reduce_certificate(m, a, 12, w, U, m=2)
+
+
 @pytest.fixture(scope="module")
 def sigma_and_u():
     U, _, _ = complement_U(ising_model(cutoff=12))

@@ -97,6 +97,34 @@ def test_l0_eigenvalue_on_ground_states():
                 )
 
 
+def test_omega_is_handed_out_as_a_copy():
+    # Mutating a returned conformal vector must not reach later answers.
+    v = lattice_model([[2, -1], [-1, 2]], cutoff=3)
+    expect = dict(v.omega)
+    lab = v.labels_at(2)[0]
+    l0 = mode_apply(v, v.omega, 1, {lab: Fraction(1)})
+    v.omega.clear()
+    om = v.omega
+    om[v.vacuum] = Fraction(5)
+    assert v.omega == expect and v.omega is not om
+    # omega = (1/2) sum_ij (G^-1)_ij alpha_i(-1) alpha_j(-1) 1, G^-1 = [[2,1],[1,2]]/3
+    assert expect == {(((1, 0), (1, 0)), (0, 0)): Fraction(1, 3),
+                      (((1, 1), (1, 0)), (0, 0)): Fraction(1, 3),
+                      (((1, 1), (1, 1)), (0, 0)): Fraction(1, 3)}
+    assert mode_apply(v, v.omega, 1, {lab: Fraction(1)}) == l0 == {lab: Fraction(2)}
+
+
+def test_weight_of_matches_the_halfnorm_above_the_cutoff():
+    voa = lattice_model(A1, cutoff=3)
+    m = lattice_model(A1, lam_dual=[1], cutoff=2, voa=voa)
+    lat = EvenLattice(A1)
+    for model, lam in ((voa, Fraction(0)), (m, Fraction(1, 2))):
+        for g in range(-4, 5):  # |g| >= 3 lies above both cutoffs
+            for heis in ((), ((2, 0), (1, 0))):
+                assert model.weight_of((heis, (g,))) == (
+                    lat.halfnorm((lam + g,)) + sum(n for n, _ in heis))
+
+
 def test_identities_on_a1():
     v = lattice_model(A1, cutoff=5)
     a = v.basis_state(((), (1,)))          # e_alpha
