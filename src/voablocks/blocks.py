@@ -235,16 +235,8 @@ def _tensor_image(mats: Sequence[dict], labs: tuple) -> dict:
     """Image of the pure tensor labs under the sum over slots of mats[i]."""
     out: dict = {}
     for i, mat in enumerate(mats):
-        for lab2, c in mat[labs[i]].items():
-            key = labs[:i] + (lab2,) + labs[i + 1:]
-            if key not in out:  # the common case: no other slot reached key
-                out[key] = c
-                continue
-            new = out[key] + c
-            if new:
-                out[key] = new
-            else:
-                del out[key]
+        vec_add_scaled(out, {labs[:i] + (lab2,) + labs[i + 1:]: c
+                             for lab2, c in mat[labs[i]].items()}, 1)
     return out
 
 
@@ -405,6 +397,8 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     sources = [labs for labs, _ in graded]
     source_labels = [_labels_upto(m, d_valid) for m in surface.modules]
     # A relation from a source of degree <= d_valid stays within degree D.
+    # Its label degrees are read from this table, not degree_of, which does
+    # Fraction arithmetic on every call.
     degree = [{lab: d for d in range(D + 1) for lab in m.labels_at(d)}
               for m in surface.modules]
     # Pivot keys are (D - degree, label), so elimination always pivots on a

@@ -45,7 +45,9 @@ def vec_add_scaled(dst: dict, src: Mapping, coeff: Fraction) -> None:
     if not coeff:
         return
     for k, v in src.items():
-        new = dst.get(k, 0) + coeff * v
+        new = coeff * v
+        if k in dst:
+            new += dst[k]
         if new:
             dst[k] = new
         else:
