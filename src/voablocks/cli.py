@@ -335,11 +335,19 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
-def _nonnegative_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     qu.add_argument("--cutoff", type=_nonnegative_int, default=8)
     qu.add_argument("--n", type=int, default=2)
     qu.add_argument("--m", type=int, default=1)
-    qu.add_argument("--window", type=int, default=None)
+    qu.add_argument("--window", type=_positive_int, default=None)
     qu.set_defaults(fn=cmd_quotient)
     common(qu)
 

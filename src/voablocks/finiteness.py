@@ -89,7 +89,10 @@ def _c2_pairs(voa: TruncatedModel, degree: int):
 
 def _c2_echelon(voa: TruncatedModel, degree: int) -> Echelon:
     ech = Echelon()
+    full = voa.dim(degree)
     for alab, blab in _c2_pairs(voa, degree):
+        if ech.rank == full:
+            break  # no further pair can raise the rank
         vec = mode_apply(voa, {alab: Fraction(1)}, -2, {blab: Fraction(1)})
         if vec:
             ech.add(vec)
@@ -102,6 +105,11 @@ def complement_U(model: TruncatedModel) -> tuple[list[State], int, int]:
     Returns (U, r_U, s_U) where r_U = s_U = the maximal weight occurring
     in U.  Fails if ker L1 cannot complete C2(V) at some degree, which
     signals a model that is not quasi-primary generated.
+
+    The C2 pairs of a degree are spanned only until their rank reaches
+    dim V(d), and ker L1 is not computed at a degree that C2 fills: once
+    the rank is full every further ``add`` returns False and leaves the
+    echelon unchanged, so skipping those adds yields the same U exactly.
     """
     if not model.is_voa:
         raise ValueError("complement_U expects a VOA model")
@@ -111,10 +119,11 @@ def complement_U(model: TruncatedModel) -> tuple[list[State], int, int]:
     max_wt = 0
     for d in range(model.cutoff + 1):
         ech = _c2_echelon(model, d)
-        for vec in quasi_primary_space(model, d):
-            if ech.add(vec):
-                U.append(dict(vec))
-                max_wt = max(max_wt, d)
+        if ech.rank < model.dim(d):
+            for vec in quasi_primary_space(model, d):
+                if ech.add(vec):
+                    U.append(dict(vec))
+                    max_wt = max(max_wt, d)
         if ech.rank != model.dim(d):
             raise VerificationError(
                 f"ker L1 does not complement C2(V) at degree {d}: "
@@ -131,19 +140,19 @@ def _state_max_weight(model: TruncatedModel, s: Mapping) -> Fraction | None:
     return max((model.weight_of(k) for k in s), default=None)
 
 
-def subspace_span(module: TruncatedModel, spec: SubspaceSpec) -> list[tuple[int, State]]:
-    """Complete graded generator list of the specified subspace up to cutoff.
+def _span_terms(module: TruncatedModel, spec: SubspaceSpec):
+    """Recipes (d, a_state, n, wlab) of the generators a(-n)wlab of the span.
 
     Completeness per degree d follows from the grading equation
     d = deg a + deg w + n - 1, which bounds every index by the cutoff.
     The vacuum never appears as a generator state: its only nonzero mode
-    is the identity, which would trivialize the m = 1 quotients.
+    is the identity, which would trivialize the m = 1 quotients.  No mode
+    is applied here, so a caller builds only the generators it needs.
     """
     voa = module.voa
     cutoff = module.cutoff
-    out: list[tuple[int, State]] = []
 
-    def emit(a_state: Mapping, n: int) -> None:
+    def terms(a_state: Mapping, n: int):
         wt_a = voa.state_weight(a_state)
         if wt_a is None:
             return
@@ -152,32 +161,39 @@ def subspace_span(module: TruncatedModel, spec: SubspaceSpec) -> list[tuple[int,
             if d > cutoff:
                 break
             for wlab in module.labels_at(dw):
-                vec = mode_apply(module, a_state, -n, {wlab: Fraction(1)})
-                if vec:
-                    out.append((d, vec))
+                yield d, a_state, n, wlab
 
     if spec.kind == "cn":
         for wa in range(1, cutoff + 2 - spec.n + 1):
             for alab in voa.labels_at(wa):
-                emit({alab: Fraction(1)}, spec.n)
+                yield from terms({alab: Fraction(1)}, spec.n)
     elif spec.kind == "b1":
         for wa in range(1, cutoff + 1):
             for alab in voa.labels_at(wa):
-                emit({alab: Fraction(1)}, 1)
+                yield from terms({alab: Fraction(1)}, 1)
     elif spec.kind == "cmu":
         for u in spec.U:
             wt = voa.state_weight(u)
             if wt is None or wt == 0:
                 continue  # vacuum excluded
             for n in range(spec.m, cutoff + 2 - int(wt)):
-                emit(u, n)
+                yield from terms(u, n)
     else:  # cmq
         for mono in _decreasing_monomials(voa, spec.U, spec.m, cutoff):
             wt = voa.state_weight(mono)
             if wt is None or wt == 0:
                 continue
             for p in range(spec.q, cutoff + 2 - int(wt)):
-                emit(mono, p)
+                yield from terms(mono, p)
+
+
+def subspace_span(module: TruncatedModel, spec: SubspaceSpec) -> list[tuple[int, State]]:
+    """Complete graded generator list (d, a(-n)w) of the subspace up to cutoff."""
+    out: list[tuple[int, State]] = []
+    for d, a_state, n, wlab in _span_terms(module, spec):
+        vec = mode_apply(module, a_state, -n, {wlab: Fraction(1)})
+        if vec:
+            out.append((d, vec))
     return out
 
 
@@ -208,17 +224,30 @@ def _decreasing_monomials(voa: TruncatedModel, U: Sequence[Mapping], m: int,
 
 def quotient_report(module: TruncatedModel, spec: SubspaceSpec,
                     window: int | None = None) -> QuotientReport:
-    """Per-degree dims of W/span(spec); stabilized when the tail is zero."""
+    """Per-degree dims of W/span(spec); stabilized when the tail is zero.
+
+    A generator a(-n)w is built only while the rank of its degree is below
+    dim W(d).  This is exact: at full rank every further ``add`` returns
+    False and leaves the echelon unchanged, so the ranks are those of the
+    whole ``subspace_span`` list.  A generator that is never needed is
+    never built, so it can no longer raise a ``TruncationError``.
+    """
     if window is None:
         r_u = 0
         if spec.U:
             r_u = max(int(module.voa.state_weight(u) or 0) for u in spec.U)
         window = max(3, r_u)
-    spans: dict[int, Echelon] = {d: Echelon() for d in range(module.cutoff + 1)}
-    for d, vec in subspace_span(module, spec):
-        spans[d].add(vec)
-    per_degree = [module.dim(d) - spans[d].rank for d in range(module.cutoff + 1)]
-    tail = per_degree[-window:] if window <= len(per_degree) else per_degree
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    dims = [module.dim(d) for d in range(module.cutoff + 1)]
+    spans = [Echelon() for _ in dims]
+    for d, a_state, n, wlab in _span_terms(module, spec):
+        if spans[d].rank < dims[d]:
+            vec = mode_apply(module, a_state, -n, {wlab: Fraction(1)})
+            if vec:
+                spans[d].add(vec)
+    per_degree = [dim - ech.rank for dim, ech in zip(dims, spans)]
+    tail = per_degree[-window:]
     stabilized = len(per_degree) >= window and all(x == 0 for x in tail)
     return QuotientReport(per_degree, sum(per_degree), stabilized, window)
 
@@ -292,7 +321,10 @@ class _UDecomposer:
             wt = self.voa.state_weight(u)
             if wt == weight:
                 se.add(u, ("u", idx))
+        full = self.voa.dim(weight)
         for alab, blab in _c2_pairs(self.voa, weight):
+            if se.rank == full:
+                break  # no further pair can raise the rank or change a row
             vec = mode_apply(self.voa, {alab: Fraction(1)}, -2, {blab: Fraction(1)})
             if vec:
                 se.add(vec, ("c2", alab, blab))

@@ -521,17 +521,20 @@ def b1_span_check(gram, lam_dual, cutoff: int) -> dict:
     deficiencies = []
     for d in range(cutoff + 1):
         ech = Echelon()
-        for wa in range(1, d + 1):
-            for alab in voa.labels_at(wa):
-                for wlab in model.labels_at(d - wa):
-                    vec = mode_apply(model, {alab: Fraction(1)}, -1,
-                                     {wlab: Fraction(1)})
-                    if vec:
-                        ech.add(vec)
+        full = model.dim(d)
+        # Stop once the degree is full: no further vector can raise the rank.
+        terms = ((alab, wlab) for wa in range(1, d + 1) for alab in voa.labels_at(wa)
+                 for wlab in model.labels_at(d - wa))
+        for alab, wlab in terms:
+            if ech.rank == full:
+                break
+            vec = mode_apply(model, {alab: Fraction(1)}, -1, {wlab: Fraction(1)})
+            if vec:
+                ech.add(vec)
         for lab in ground_labels:
-            if model.degree_of(lab) == d:
+            if ech.rank < full and model.degree_of(lab) == d:
                 ech.add({lab: Fraction(1)})
-        deficiencies.append(model.dim(d) - ech.rank)
+        deficiencies.append(full - ech.rank)
     return {
         "per_degree_deficiency": deficiencies,
         "gamma_size": len(gammas),

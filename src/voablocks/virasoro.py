@@ -98,6 +98,11 @@ class VermaAction:
         self._cache: dict = {}
 
     def L(self, m: int, part: tuple[int, ...]) -> State:
+        """L_m on the monomial ``part``, as a state the caller owns."""
+        return dict(self._L(m, part))
+
+    def _L(self, m: int, part: tuple[int, ...]) -> State:
+        # The cached state itself: readers in this module must not mutate it.
         key = (m, part)
         hit = self._cache.get(key)
         if hit is not None:
@@ -116,11 +121,11 @@ class VermaAction:
                 out = {(-m,) + part: Fraction(1)}
             else:
                 out = {}
-                for lab, cf in self.L(m, rest).items():
-                    vec_add_scaled(out, self.L(-n1, lab), cf)
+                for lab, cf in self._L(m, rest).items():
+                    vec_add_scaled(out, self._L(-n1, lab), cf)
                 coeff = Fraction(m + n1)
                 if coeff:
-                    for lab, cf in self.L(m - n1, rest).items():
+                    for lab, cf in self._L(m - n1, rest).items():
                         vec_add_scaled(out, {lab: cf}, coeff)
                 if m == n1:
                     central = self.c / 12 * (m**3 - m)
@@ -132,7 +137,7 @@ class VermaAction:
     def apply_state(self, m: int, s: Mapping) -> State:
         out: State = {}
         for lab, cf in s.items():
-            vec_add_scaled(out, self.L(m, lab), cf)
+            vec_add_scaled(out, self._L(m, lab), cf)
         return out
 
 
@@ -145,8 +150,8 @@ def singular_vectors(c: Fraction, h: Fraction, level: int) -> list[State]:
     act = VermaAction(c, h)
 
     def image(part) -> dict:
-        img = {("L1", lab): cf for lab, cf in act.L(1, part).items()}
-        img.update({("L2", lab): cf for lab, cf in act.L(2, part).items()})
+        img = {("L1", lab): cf for lab, cf in act._L(1, part).items()}
+        img.update({("L2", lab): cf for lab, cf in act._L(2, part).items()})
         return img
 
     return kernel_of((part, image(part)) for part in partitions(level))
@@ -209,6 +214,13 @@ class VirasoroModel(TruncatedModel):
         non-pivot monomials form the complement basis that a greedy pass
         from the front would choose: VOA models prefer 1-free monomials.
         Reducing a monomial by the RREF expresses it in that basis.
+
+        The submodule U(Vir^-) . gens is spanned by the PBW monomials
+        L_{-lam} g = L_{-lam_1} ... L_{-lam_k} g with lam_1 >= ... >= lam_k,
+        each built as L_{-lam_1} applied to the stored L_{-lam[1:]} g.  Any
+        spanning set gives the same RREF: with a fixed pivot order the pivot
+        set is the span's set of leading monomials, and a fully reduced
+        echelon form is unique for its span.
         """
         cutoff = self.cutoff
         orders = {d: sorted(partitions(d), key=lambda p: (_has_one(p), p))
@@ -217,22 +229,17 @@ class VirasoroModel(TruncatedModel):
         for d, parts in orders.items():
             last_first = {part: -i for i, part in enumerate(parts)}
             self._sub[d] = Echelon(pivot_key=last_first.__getitem__)
-        # Closure of the generators under all L_{-m}: spans U(Vir^-) . gens.
-        work: list[tuple[int, State]] = []
         for g in gens:
             lvl = self._state_level(g)
-            if lvl is not None and lvl <= cutoff:
-                work.append((lvl, g))
-        head = 0
-        while head < len(work):
-            lvl, vec = work[head]
-            head += 1
-            if not self._sub[lvl].add(vec):
+            if lvl is None or lvl > cutoff:
                 continue
-            for m in range(1, cutoff - lvl + 1):
-                nv = self.action.apply_state(-m, vec)
-                if nv:
-                    work.append((lvl + m, nv))
+            pbw = {(): g}  # lam -> L_{-lam} g
+            for k in range(cutoff - lvl + 1):
+                for lam in partitions(k):
+                    if lam:
+                        pbw[lam] = self.action.apply_state(-lam[0], pbw[lam[1:]])
+                    if pbw[lam]:
+                        self._sub[lvl + k].add(pbw[lam])
         self._basis: dict[int, tuple] = {}
         self._reduce_map: dict[int, dict] = {}
         for d, parts in orders.items():
@@ -295,7 +302,7 @@ class VirasoroModel(TruncatedModel):
             )
         if lvl < 0:
             return {}
-        return self.reduce_partition_state(self.action.L(m, label))
+        return self.reduce_partition_state(self.action._L(m, label))
 
     def descriptor(self) -> dict:
         d = {"kind": self.kind, "cutoff": self.cutoff}

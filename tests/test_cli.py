@@ -165,6 +165,25 @@ def test_negative_cutoff_or_level_is_a_schema_error(capsys, argv):
     assert captured.err.startswith("schema error:") and "must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("window", ["0", "-2"])
+def test_window_below_one_is_a_schema_error(capsys, window):
+    # Window 0 made the tail the whole list, and -2 was echoed in the report.
+    assert main(["quotient", "--space", "c2", "--model", "ising", "--cutoff", "4",
+                 "--window", window]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error:") and "must be >= 1" in captured.err
+
+
+def test_window_one_is_accepted(capsys):
+    code, out = run(capsys, "quotient", "--space", "c2", "--model", "ising",
+                    "--cutoff", "4", "--window", "1")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["window"] == 1
+    assert result["stabilized"] is (result["per_degree"][-1] == 0)
+
+
 def test_zero_cutoff_is_accepted(capsys):
     code, out = run(capsys, "quotient", "--space", "c2", "--model", "ising",
                     "--cutoff", "0")

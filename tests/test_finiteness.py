@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from voablocks.core import mode_apply
+from voablocks.core import mode_apply, quasi_primary_space
 from voablocks.finiteness import (
     SubspaceSpec,
+    _UDecomposer,
     bound_k,
     complement_U,
     quotient_report,
@@ -16,7 +17,7 @@ from voablocks.finiteness import (
     subspace_span,
 )
 from voablocks.lattice import heisenberg_model, lattice_model
-from voablocks.linalg import Echelon
+from voablocks.linalg import Echelon, SolverEchelon
 from voablocks.virasoro import VerificationError, irreducible_model, ising_model
 
 rng = random.Random(20240819)
@@ -228,3 +229,101 @@ def test_certificate_skips_vacuum_weight_commutator_term(sigma_and_u, part, n_en
     cert = reduce_certificate(sigma, sigma.voa.basis_state(part), 6, w, U, m=1)
     assert len(cert.entries) == n_entries
     assert cert.verify(sigma)
+
+
+# ---------------------------------------------------------------------------
+# Stopping each degree at full rank changes no answer: exhaustive oracles
+
+
+def _a1_cmu():
+    a1 = lattice_model([[2]], cutoff=5)
+    return a1, SubspaceSpec("cmu", m=1, U=tuple(complement_U(a1)[0]))
+
+
+QUOTIENT_SPACES = {
+    "c2-ising": lambda: (ising_model(cutoff=10), SubspaceSpec("cn", n=2)),
+    "c2-p5q2": lambda: (irreducible_model(5, 2, 1, 1, 10), SubspaceSpec("cn", n=2)),
+    "c2-p5q4": lambda: (irreducible_model(5, 4, 1, 1, 10), SubspaceSpec("cn", n=2)),
+    "b1-sigma": lambda: (irreducible_model(4, 3, 2, 2, 9), SubspaceSpec("b1")),
+    "cmu-a1": _a1_cmu,
+    "c2-heisenberg": lambda: (heisenberg_model(rank=1, cutoff=7), SubspaceSpec("cn", n=2)),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENT_SPACES))
+def test_quotient_report_matches_rank_of_the_whole_span(name):
+    module, spec = QUOTIENT_SPACES[name]()
+    spans = {d: Echelon() for d in range(module.cutoff + 1)}
+    for d, vec in subspace_span(module, spec):
+        spans[d].add(vec)
+    expected = [module.dim(d) - spans[d].rank for d in range(module.cutoff + 1)]
+    assert quotient_report(module, spec).per_degree == expected
+
+
+def _complement_u_exhaustive(model):
+    """complement_U with every C2 pair and every quasi-primary vector added."""
+    U, max_wt = [], 0
+    for d in range(model.cutoff + 1):
+        ech = Echelon()
+        for wa in range(d):
+            for alab in model.labels_at(wa):
+                for blab in model.labels_at(d - 1 - wa):
+                    vec = mode_apply(model, {alab: Fraction(1)}, -2, {blab: Fraction(1)})
+                    if vec:
+                        ech.add(vec)
+        for vec in quasi_primary_space(model, d):
+            if ech.add(vec):
+                U.append(dict(vec))
+                max_wt = d
+    return U, max_wt
+
+
+@pytest.mark.parametrize("make", [lambda: ising_model(cutoff=10),
+                                  lambda: irreducible_model(5, 3, 1, 1, 9),
+                                  lambda: lattice_model([[2]], cutoff=5),
+                                  lambda: heisenberg_model(rank=1, cutoff=6)],
+                         ids=["ising", "p5q3", "a1", "heisenberg"])
+def test_complement_u_matches_exhaustive_c2_echelon(make):
+    model = make()
+    U, r_u, s_u = complement_U(model)
+    assert (U, r_u) == _complement_u_exhaustive(model)
+    assert s_u == r_u
+
+
+def test_u_split_matches_exhaustive_solver():
+    # The per-weight solver stops adding C2 pairs at full rank; every split
+    # must equal the one of a solver that was given all of them.
+    m = ising_model(cutoff=10)
+    U, _, _ = complement_U(m)
+    dec = _UDecomposer(m, U)
+    for wt in range(1, m.cutoff + 1):
+        se = SolverEchelon()
+        for idx, u in enumerate(U):
+            if m.state_weight(u) == wt:
+                se.add(u, ("u", idx))
+        for wa in range(wt):
+            for alab in m.labels_at(wa):
+                for blab in m.labels_at(wt - 1 - wa):
+                    vec = mode_apply(m, {alab: Fraction(1)}, -2, {blab: Fraction(1)})
+                    if vec:
+                        se.add(vec, ("c2", alab, blab))
+        for lab in m.labels_at(wt):
+            expr = se.solve({lab: Fraction(1)})
+            u_part = {k[1]: v for k, v in expr.items() if k[0] == "u"}
+            c2_part = {(k[1], k[2]): v for k, v in expr.items() if k[0] == "c2"}
+            assert dec.split({lab: Fraction(1)}) == (u_part, c2_part)
+
+
+@pytest.mark.parametrize("p, q", [(5, 3), (7, 2), (5, 4), (9, 2)])
+def test_c2_quotient_dimension_matches_gaberdiel_gannon(p, q):
+    # dim V/C2(V) = (p-1)(q-1)/2 for the (p, q) minimal-series vacuum module.
+    # (5, 4) still has a class at degree 10, so the default window of 3 is
+    # not yet clear at cutoff 12; only the dimension is compared.
+    rep = quotient_report(irreducible_model(p, q, 1, 1, 12), SubspaceSpec("cn", n=2))
+    assert rep.cumulative == (p - 1) * (q - 1) // 2
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_quotient_report_rejects_window_below_one(window):
+    with pytest.raises(ValueError, match="window"):
+        quotient_report(ising_model(cutoff=4), SubspaceSpec("cn", n=2), window=window)

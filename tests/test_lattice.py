@@ -1,5 +1,6 @@
 """Fock models over even lattices: dimensions, modes, Γ-sets, B1 spanning."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,11 +17,13 @@ from voablocks.lattice import (
     short_vectors,
     single_jump_check,
 )
+from voablocks.linalg import Echelon
 from voablocks.virasoro import VerificationError
 
 rng = random.Random(20240818)
 
 A1 = [[2]]
+A2 = [[2, -1], [-1, 2]]
 
 
 def test_even_lattice_validation():
@@ -188,3 +191,85 @@ def test_module_requires_integral_dual_coordinates():
     with pytest.raises(ValueError):
         lattice_model(A1, lam_dual=["1/3"], cutoff=2,
                       voa=lattice_model(A1, cutoff=2))
+
+
+def _b1_deficiencies_exhaustive(gram, lam_dual, cutoff):
+    """b1_span_check's deficiencies with every a(-1)w and every ground added."""
+    voa = FockModel(gram, None, cutoff)
+    model = voa if not any(lam_dual) else FockModel(gram, lam_dual, cutoff, voa=voa)
+    grounds = [((), beta) for beta in gamma_set(gram, lam_dual)]
+    out = []
+    for d in range(cutoff + 1):
+        ech = Echelon()
+        for wa in range(1, d + 1):
+            for alab in voa.labels_at(wa):
+                for wlab in model.labels_at(d - wa):
+                    vec = mode_apply(model, {alab: Fraction(1)}, -1, {wlab: Fraction(1)})
+                    if vec:
+                        ech.add(vec)
+        for lab in grounds:
+            if model.weight_of(lab) - model.lowest_weight == d:
+                ech.add({lab: Fraction(1)})
+        out.append(model.dim(d) - ech.rank)
+    return out
+
+
+@pytest.mark.parametrize("gram, lam, cutoff", [
+    (A1, [0], 5), (A1, [1], 5), (A2, [0, 0], 3), (A2, [1, 0], 3),
+])
+def test_b1_span_check_matches_exhaustive_loop(gram, lam, cutoff):
+    rep = b1_span_check(gram, lam, cutoff)
+    assert rep["per_degree_deficiency"] == _b1_deficiencies_exhaustive(gram, lam, cutoff)
+
+
+# ---------------------------------------------------------------------------
+# Graded dimensions against theta series x colored partition counts
+
+
+def _colored_partition_counts(colors, n_max):
+    """Coefficients of prod_k (1 - q^k)^(-colors) up to q^n_max."""
+    counts = [1] + [0] * n_max
+    for _ in range(colors):
+        for k in range(1, n_max + 1):
+            for n in range(k, n_max + 1):
+                counts[n] += counts[n - k]
+    return counts
+
+
+def _theta_dims(gram, lam_dual, cutoff, box=6):
+    """dim V_{λ+L} per degree: sum over γ in λ+L of p_r(d - deg γ).
+
+    λ = G^{-1} lam_dual in the lattice basis (rank <= 2 here); the momenta
+    are enumerated in a coordinate box that must hold every short vector.
+    """
+    r = len(gram)
+    if r == 1:
+        lam = [Fraction(lam_dual[0], gram[0][0])]
+    else:
+        (a, b), (c, d) = gram
+        det = a * d - b * c
+        inv = [[Fraction(d, det), Fraction(-b, det)], [Fraction(-c, det), Fraction(a, det)]]
+        lam = [sum(inv[i][j] * lam_dual[j] for j in range(2)) for i in range(2)]
+    norms = []
+    for n in itertools.product(range(-box, box + 1), repeat=r):
+        x = [lam[i] + n[i] for i in range(r)]
+        norms.append((sum(x[i] * gram[i][j] * x[j] for i in range(r) for j in range(r)) / 2,
+                      max(abs(k) for k in n)))
+    low = min(hn for hn, _ in norms)
+    pc = _colored_partition_counts(r, cutoff)
+    dims = [0] * (cutoff + 1)
+    for hn, edge in norms:
+        k = hn - low
+        if k <= cutoff:
+            assert edge < box, "enlarge the box"
+            for deg in range(int(k), cutoff + 1):
+                dims[deg] += pc[deg - int(k)]
+    return dims
+
+
+@pytest.mark.parametrize("gram, lam, cutoff", [
+    (A1, [0], 6), (A1, [1], 6), (A2, [0, 0], 4), (A2, [1, 0], 4),
+])
+def test_lattice_dims_match_theta_series(gram, lam, cutoff):
+    model = lattice_model(gram, lam_dual=lam, cutoff=cutoff)
+    assert [model.dim(d) for d in range(cutoff + 1)] == _theta_dims(gram, lam, cutoff)

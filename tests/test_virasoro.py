@@ -1,12 +1,14 @@
 """Verma actions, singular vectors, quotient models, projection polynomials."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from voablocks import virasoro
 from voablocks.core import TruncationError, check_identity, mode_apply
+from voablocks.linalg import Echelon
 from voablocks.virasoro import (
     VermaAction,
     VerificationError,
@@ -69,6 +71,22 @@ def test_verma_bracket_oracles():
     for n in range(5):
         for part in partitions(n):
             assert act.L(0, part) == ({part: h + n} if h + n else {})
+
+
+def test_verma_action_hands_out_copies():
+    # A caller that mutates a returned state must not change later answers,
+    # neither of L itself nor of the model modes read from the same cache.
+    sigma = irreducible_model(4, 3, 2, 2, cutoff=6)
+    fresh = irreducible_model(4, 3, 2, 2, cutoff=6)
+    got = sigma.action.L(1, (2,))
+    assert got == {(1,): Fraction(3)}
+    got[(1,)] = Fraction(99)
+    got[(3,)] = Fraction(1)
+    assert sigma.action.L(1, (2,)) == {(1,): Fraction(3)}
+    for lab in sigma.labels_at(3):
+        state = {lab: Fraction(1)}
+        assert mode_apply(sigma, sigma.voa.omega, 2, state) == \
+            mode_apply(fresh, fresh.voa.omega, 2, state)
 
 
 def test_verma_commutation_relation_randomized():
@@ -229,6 +247,38 @@ def test_quotient_basis_is_the_non_pivot_monomials(p, q, r, s, cutoff):
             assert m._sub[d].reduce(row) == {}
             assert max(row, key=order) == pivot and row[pivot] == 1
             assert set(row) - {pivot} <= basis
+
+
+def _closure_pivot_rows(model, gens):
+    """Submodule RREF from a breadth-first closure of gens under every L_{-m}."""
+    act = VermaAction(model.c, model.h)
+    subs = {}
+    for d in range(model.cutoff + 1):
+        order = sorted(partitions(d), key=lambda p: (bool(p) and p[-1] == 1, p))
+        last_first = {part: -i for i, part in enumerate(order)}
+        subs[d] = Echelon(pivot_key=last_first.__getitem__)
+    work = deque((sum(next(iter(g))), g) for g in gens)
+    while work:
+        lvl, vec = work.popleft()
+        if subs[lvl].add(vec):
+            for m in range(1, model.cutoff - lvl + 1):
+                image = act.apply_state(-m, vec)
+                if image:
+                    work.append((lvl + m, image))
+    return {d: ech.pivot_rows for d, ech in subs.items()}
+
+
+@pytest.mark.parametrize("make, gens", [
+    (lambda: irreducible_model(4, 3, 2, 2, 12),
+     lambda: singular_vectors(Fraction(1, 2), Fraction(1, 16), 2)
+     + singular_vectors(Fraction(1, 2), Fraction(1, 16), 4)),
+    (lambda: vacuum_voa(Fraction(7, 3), 12), lambda: [{(1,): Fraction(1)}]),
+], ids=["sigma", "vacuum-c7/3"])
+def test_pbw_submodule_equals_breadth_first_closure(make, gens):
+    m = make()
+    closure = _closure_pivot_rows(m, gens())
+    for d in range(m.cutoff + 1):
+        assert m._sub[d].pivot_rows == closure[d], d
 
 
 # ---------------------------------------------------------------------------
