@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     State,
@@ -76,29 +76,6 @@ class QuotientReport:
 # Complements of C2 inside ker L1
 
 
-def _c2_pairs(voa: TruncatedModel, degree: int):
-    """All (a, b) basis label pairs with wt a(-2)b == degree."""
-    for wa in range(degree):
-        wb = degree - 1 - wa
-        if wb < 0:
-            continue
-        for alab in voa.labels_at(wa):
-            for blab in voa.labels_at(wb):
-                yield alab, blab
-
-
-def _c2_echelon(voa: TruncatedModel, degree: int) -> Echelon:
-    ech = Echelon()
-    full = voa.dim(degree)
-    for alab, blab in _c2_pairs(voa, degree):
-        if ech.rank == full:
-            break  # no further pair can raise the rank
-        vec = mode_apply(voa, {alab: Fraction(1)}, -2, {blab: Fraction(1)})
-        if vec:
-            ech.add(vec)
-    return ech
-
-
 def complement_U(model: TruncatedModel) -> tuple[list[State], int, int]:
     """Graded basis of a complement of C2(V) chosen inside ker L1.
 
@@ -106,10 +83,8 @@ def complement_U(model: TruncatedModel) -> tuple[list[State], int, int]:
     in U.  Fails if ker L1 cannot complete C2(V) at some degree, which
     signals a model that is not quasi-primary generated.
 
-    The C2 pairs of a degree are spanned only until their rank reaches
-    dim V(d), and ker L1 is not computed at a degree that C2 fills: once
-    the rank is full every further ``add`` returns False and leaves the
-    echelon unchanged, so skipping those adds yields the same U exactly.
+    ker L1 is not computed at a degree that C2 fills: at full rank every
+    further ``add`` returns False, so skipping it yields the same U exactly.
     """
     if not model.is_voa:
         raise ValueError("complement_U expects a VOA model")
@@ -117,8 +92,7 @@ def complement_U(model: TruncatedModel) -> tuple[list[State], int, int]:
         raise ValueError("V(0) must be one-dimensional")
     U: list[State] = []
     max_wt = 0
-    for d in range(model.cutoff + 1):
-        ech = _c2_echelon(model, d)
+    for d, ech in enumerate(_graded_spans(model, SubspaceSpec("cn", n=2))):
         if ech.rank < model.dim(d):
             for vec in quasi_primary_space(model, d):
                 if ech.add(vec):
@@ -187,6 +161,28 @@ def _span_terms(module: TruncatedModel, spec: SubspaceSpec):
                 yield from terms(mono, p)
 
 
+def _graded_spans(module: TruncatedModel, spec: SubspaceSpec | None,
+                  seeds: Iterable[tuple[int, State]] = ()) -> list[Echelon]:
+    """One echelon per degree, spanning the seeds (d, v) and spec's generators.
+
+    A generator a(-n)w is built only while the rank of its degree is below
+    dim W(d).  This is exact: at full rank every further ``add`` returns
+    False and leaves the echelon unchanged, so the ranks are those of the
+    whole ``subspace_span`` list.  A generator that is never needed is
+    never built, so it can no longer raise a ``TruncationError``.
+    """
+    dims = [module.dim(d) for d in range(module.cutoff + 1)]
+    spans = [Echelon() for _ in dims]
+    for d, vec in seeds:
+        spans[d].add(vec)
+    for d, a_state, n, wlab in _span_terms(module, spec) if spec else ():
+        if spans[d].rank < dims[d]:
+            vec = mode_apply(module, a_state, -n, {wlab: Fraction(1)})
+            if vec:
+                spans[d].add(vec)
+    return spans
+
+
 def subspace_span(module: TruncatedModel, spec: SubspaceSpec) -> list[tuple[int, State]]:
     """Complete graded generator list (d, a(-n)w) of the subspace up to cutoff."""
     out: list[tuple[int, State]] = []
@@ -224,14 +220,7 @@ def _decreasing_monomials(voa: TruncatedModel, U: Sequence[Mapping], m: int,
 
 def quotient_report(module: TruncatedModel, spec: SubspaceSpec,
                     window: int | None = None) -> QuotientReport:
-    """Per-degree dims of W/span(spec); stabilized when the tail is zero.
-
-    A generator a(-n)w is built only while the rank of its degree is below
-    dim W(d).  This is exact: at full rank every further ``add`` returns
-    False and leaves the echelon unchanged, so the ranks are those of the
-    whole ``subspace_span`` list.  A generator that is never needed is
-    never built, so it can no longer raise a ``TruncationError``.
-    """
+    """Per-degree dims of W/span(spec); stabilized when the tail is zero."""
     if window is None:
         r_u = 0
         if spec.U:
@@ -239,14 +228,8 @@ def quotient_report(module: TruncatedModel, spec: SubspaceSpec,
         window = max(3, r_u)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    dims = [module.dim(d) for d in range(module.cutoff + 1)]
-    spans = [Echelon() for _ in dims]
-    for d, a_state, n, wlab in _span_terms(module, spec):
-        if spans[d].rank < dims[d]:
-            vec = mode_apply(module, a_state, -n, {wlab: Fraction(1)})
-            if vec:
-                spans[d].add(vec)
-    per_degree = [dim - ech.rank for dim, ech in zip(dims, spans)]
+    spans = _graded_spans(module, spec)
+    per_degree = [module.dim(d) - ech.rank for d, ech in enumerate(spans)]
     tail = per_degree[-window:]
     stabilized = len(per_degree) >= window and all(x == 0 for x in tail)
     return QuotientReport(per_degree, sum(per_degree), stabilized, window)
@@ -257,13 +240,10 @@ def spanning_set_check(model: TruncatedModel, U: Sequence[Mapping]) -> list[bool
     if not model.is_voa:
         raise ValueError("spanning_set_check expects a VOA model")
     monos = _decreasing_monomials(model, U, model.cutoff + 1, model.cutoff)
-    spans: dict[int, Echelon] = {d: Echelon() for d in range(model.cutoff + 1)}
-    spans[0].add({model.vacuum: Fraction(1)})
-    for s in monos:
-        wt = model.state_weight(s)
-        if wt is not None:
-            spans[int(wt)].add(s)
-    return [spans[d].rank == model.dim(d) for d in range(model.cutoff + 1)]
+    seeds = [(0, {model.vacuum: Fraction(1)})]
+    seeds += [(int(model.state_weight(s)), s) for s in monos]
+    spans = _graded_spans(model, None, seeds)
+    return [ech.rank == model.dim(d) for d, ech in enumerate(spans)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +301,17 @@ class _UDecomposer:
             wt = self.voa.state_weight(u)
             if wt == weight:
                 se.add(u, ("u", idx))
+        # The C2 recipes of this weight, in order of wt a and then label;
+        # only the vacuum is missing, and its a(-2)b is zero.
         full = self.voa.dim(weight)
-        for alab, blab in _c2_pairs(self.voa, weight):
+        for d, a_state, n, blab in _span_terms(self.voa, SubspaceSpec("cn", n=2)):
             if se.rank == full:
                 break  # no further pair can raise the rank or change a row
-            vec = mode_apply(self.voa, {alab: Fraction(1)}, -2, {blab: Fraction(1)})
-            if vec:
-                se.add(vec, ("c2", alab, blab))
+            if d == weight:
+                vec = mode_apply(self.voa, a_state, -n, {blab: Fraction(1)})
+                if vec:
+                    (alab,) = a_state
+                    se.add(vec, ("c2", alab, blab))
         self._solvers[weight] = se
         return se
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import State, TruncatedModel, TruncationError, mode_apply
-from .linalg import Echelon, qstr, vec_add_scaled
+from .finiteness import SubspaceSpec, _graded_spans
+from .linalg import qstr, vec_add_scaled
 from .virasoro import VerificationError
 
 
@@ -27,7 +28,13 @@ class EvenLattice:
     """Positive-definite integral lattice presented by its Gram matrix."""
 
     def __init__(self, gram: Sequence[Sequence[int]], require_even: bool = True):
-        g = tuple(tuple(int(x) for x in row) for row in gram)
+        try:
+            q = [[Fraction(x) for x in row] for row in gram]
+        except (TypeError, ValueError, OverflowError):
+            q = None
+        if q is None or any(x.denominator != 1 for row in q for x in row):
+            raise ValueError(f"Gram matrix must be a matrix of integers, got {gram!r}")
+        g = tuple(tuple(int(x) for x in row) for row in q)
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
@@ -134,16 +141,28 @@ def short_vectors(lat: EvenLattice, shift: Sequence[Fraction], bound: Fraction):
 # Fock models
 
 
-def _reduce_lambda(lat: EvenLattice, lam_dual: Sequence[Fraction]) -> tuple:
-    """Alpha-basis coordinates of λ, reduced into [0,1)^rank modulo L."""
+def _lambda_alpha(lat: EvenLattice, lam_dual: Sequence | None) -> tuple:
+    """Alpha-basis coordinates of λ from its pairings with the basis α_i.
+
+    An empty or absent λ means zero; otherwise it needs one integer per
+    basis vector.
+    """
     r = lat.rank
-    lam_dual = tuple(Fraction(x) for x in lam_dual)
+    try:
+        lam_dual = tuple(Fraction(x) for x in (lam_dual or (0,) * r))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"lambda must be a list of integers, got {lam_dual!r}") from None
+    if len(lam_dual) != r:
+        raise ValueError(f"lambda has {len(lam_dual)} entries, but the lattice "
+                         f"has rank {r}")
     if any(x.denominator != 1 for x in lam_dual):
         raise ValueError("module weight must pair integrally with the lattice")
-    lam_alpha = tuple(
-        sum(lat.inv[i][j] * lam_dual[j] for j in range(r)) for i in range(r)
-    )
-    return tuple(x - math.floor(x) for x in lam_alpha)
+    return tuple(sum(lat.inv[i][j] * lam_dual[j] for j in range(r)) for i in range(r))
+
+
+def _reduce_lambda(lat: EvenLattice, lam_dual: Sequence | None) -> tuple:
+    """Alpha-basis coordinates of λ, reduced into [0,1)^rank modulo L."""
+    return tuple(x - math.floor(x) for x in _lambda_alpha(lat, lam_dual))
 
 
 def _cocycle_sign(lat: EvenLattice, beta: Sequence[int], gamma: Sequence[int]) -> int:
@@ -183,8 +202,6 @@ class FockModel(TruncatedModel):
         self.lattice = lat
         self.lattice_enabled = lattice_enabled
         r = lat.rank
-        if lam_dual is None:
-            lam_dual = (0,) * r
         self.lam_alpha = _reduce_lambda(lat, lam_dual)
         if not lattice_enabled and any(self.lam_alpha):
             raise ValueError("free-boson model supports only the zero momentum")
@@ -397,12 +414,9 @@ def _colored_partitions(total: int, colors: int) -> list[tuple]:
 def lattice_model(gram, lam_dual=None, cutoff: int = 6,
                   voa: FockModel | None = None) -> FockModel:
     """V_L (lam zero) or the irreducible module V_{λ+L} over it."""
-    lam = tuple(Fraction(x) for x in (lam_dual or ()))
-    if lam and any(lam):
-        if voa is None:
-            voa = FockModel(gram, None, cutoff)
-        return FockModel(gram, lam, cutoff, voa=voa)
-    return FockModel(gram, None, cutoff, voa=voa)
+    if voa is None and any(_lambda_alpha(EvenLattice(gram), lam_dual)):
+        voa = FockModel(gram, None, cutoff)
+    return FockModel(gram, lam_dual, cutoff, voa=voa)
 
 
 def heisenberg_model(rank: int = 1, cutoff: int = 8) -> FockModel:
@@ -424,12 +438,7 @@ def gamma_set(gram, lam_dual=None) -> list[tuple]:
     """
     lat = EvenLattice(gram)
     r = lat.rank
-    lam_dual = tuple(Fraction(x) for x in (lam_dual or (0,) * r))
-    if any(x.denominator != 1 for x in lam_dual):
-        raise ValueError("lambda must lie in the dual lattice")
-    lam_alpha = tuple(
-        sum(lat.inv[i][j] * lam_dual[j] for j in range(r)) for i in range(r)
-    )
+    lam_alpha = _lambda_alpha(lat, lam_dual)
     # Box enumeration for beta: |<lam+beta|alpha_i>| <= gram[i][i].
     half = []
     for i in range(r):
@@ -484,7 +493,6 @@ def single_jump_check(gram, lam_dual, alpha: Sequence[int], beta: Sequence[int])
     alpha = tuple(int(x) for x in alpha)
     beta = tuple(int(x) for x in beta)
     diff = tuple(beta[i] - alpha[i] for i in range(r))
-    lam_dual = tuple(Fraction(x) for x in (lam_dual or (0,) * r))
     lam_alpha = _reduce_lambda(lat, lam_dual)
     degs = []
     for g in (alpha, beta):
@@ -508,33 +516,13 @@ def single_jump_check(gram, lam_dual, alpha: Sequence[int], beta: Sequence[int])
 
 def b1_span_check(gram, lam_dual, cutoff: int) -> dict:
     """Degreewise check that span{e_{λ+β} : β ∈ Γ_λ} + B₁ fills V_{λ+L}."""
-    lam = tuple(Fraction(x) for x in (lam_dual or ()))
-    voa = FockModel(gram, None, cutoff)
-    model = voa if not (lam and any(lam)) else FockModel(gram, lam, cutoff, voa=voa)
+    model = lattice_model(gram, lam_dual, cutoff)
     gammas = gamma_set(gram, lam_dual)
-    ground_labels = set()
-    for beta in gammas:
-        lab = ((), beta)
-        wt = model.weight_of(lab)
-        if wt - model.lowest_weight <= cutoff:
-            ground_labels.add(lab)
-    deficiencies = []
-    for d in range(cutoff + 1):
-        ech = Echelon()
-        full = model.dim(d)
-        # Stop once the degree is full: no further vector can raise the rank.
-        terms = ((alab, wlab) for wa in range(1, d + 1) for alab in voa.labels_at(wa)
-                 for wlab in model.labels_at(d - wa))
-        for alab, wlab in terms:
-            if ech.rank == full:
-                break
-            vec = mode_apply(model, {alab: Fraction(1)}, -1, {wlab: Fraction(1)})
-            if vec:
-                ech.add(vec)
-        for lab in ground_labels:
-            if ech.rank < full and model.degree_of(lab) == d:
-                ech.add({lab: Fraction(1)})
-        deficiencies.append(full - ech.rank)
+    grounds = [((), beta) for beta in gammas]
+    seeds = [(model.degree_of(lab), {lab: Fraction(1)}) for lab in grounds
+             if model.weight_of(lab) - model.lowest_weight <= cutoff]
+    spans = _graded_spans(model, SubspaceSpec("b1"), seeds)
+    deficiencies = [model.dim(d) - ech.rank for d, ech in enumerate(spans)]
     return {
         "per_degree_deficiency": deficiencies,
         "gamma_size": len(gammas),

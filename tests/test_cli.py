@@ -104,6 +104,29 @@ def test_schema_violations_exit_one(capsys):
     assert main(["check-identities", "--model", "{bad json"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "gamma", "--gram", "[[2,1],[1,2]]", "--lambda", "[1,0,7]"],
+    ["lattice", "gamma", "--gram", "[[2,1],[1,2]]", "--lambda", "[1]"],
+    ["lattice", "b1check", "--gram", "[[2]]", "--lambda", "[1,5]", "--cutoff", "2"],
+    ["lattice", "b1check", "--gram", "[[2]]", "--lambda", "[0,0]", "--cutoff", "2"],
+])
+def test_lambda_of_the_wrong_length_is_a_schema_error(capsys, argv):
+    # Extra entries were dropped silently, and a short lambda hit an IndexError.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: lambda has")
+
+
+@pytest.mark.parametrize("gram", ["[[2.5]]", "5", "[5]", "[[2, 1], [1, 2.5]]"])
+def test_non_integral_or_non_matrix_gram_is_a_schema_error(capsys, gram):
+    # [[2.5]] was truncated to [[2]], and a bare number hit a TypeError.
+    assert main(["lattice", "gamma", "--gram", gram]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: Gram matrix")
+
+
 def test_blocks_dim_builds_each_distinct_label_once(tmp_path, capsys, monkeypatch):
     from voablocks import cli
 

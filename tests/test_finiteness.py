@@ -290,6 +290,46 @@ def test_complement_u_matches_exhaustive_c2_echelon(make):
     assert s_u == r_u
 
 
+def _spanning_exhaustive(model, U):
+    """spanning_set_check with the vacuum and every decreasing monomial added."""
+    spans = [Echelon() for _ in range(model.cutoff + 1)]
+    spans[0].add({model.vacuum: Fraction(1)})
+    positive = [u for u in U if model.state_weight(u)]
+
+    def extend(state, weight, n_min):
+        # state = u1(-n1)...uk(-nk)1 with n1 > ... > nk; prepend a larger mode
+        for n in range(n_min, model.cutoff + 2):
+            for u in positive:
+                new_wt = weight + int(model.state_weight(u)) + n - 1
+                if new_wt <= model.cutoff:
+                    new = mode_apply(model, u, -n, state)
+                    if new:
+                        spans[new_wt].add(new)
+                        extend(new, new_wt, n + 1)
+
+    extend({model.vacuum: Fraction(1)}, 0, 1)
+    return [ech.rank == model.dim(d) for d, ech in enumerate(spans)]
+
+
+T, F = True, False
+
+
+@pytest.mark.parametrize("make, drop_last, expected", [
+    (lambda: ising_model(cutoff=10), False, [T] * 11),
+    (lambda: ising_model(cutoff=10), True, [T, T, T, T, F, T, F, T, F, T, F]),
+    (lambda: lattice_model([[2]], cutoff=5), False, [T] * 6),
+    (lambda: lattice_model([[2]], cutoff=5), True, [T, T, F, T, F, F]),
+], ids=["ising", "ising-short-U", "a1", "a1-short-U"])
+def test_spanning_set_check_matches_exhaustive_oracle(make, drop_last, expected):
+    # Without its last vector U no longer strongly generates V, so some
+    # degrees must read False.
+    model = make()
+    U = complement_U(model)[0]
+    if drop_last:
+        U = U[:-1]
+    assert spanning_set_check(model, U) == _spanning_exhaustive(model, U) == expected
+
+
 def test_u_split_matches_exhaustive_solver():
     # The per-weight solver stops adding C2 pairs at full rank; every split
     # must equal the one of a solver that was given all of them.

@@ -180,6 +180,11 @@ def test_single_jump_signs():
     assert abs(single_jump_check(A1, [0], (-1,), (1,))) == 1
 
 
+def test_single_jump_rejects_lambda_of_the_wrong_length():
+    with pytest.raises(ValueError, match="lambda has 2 entries"):
+        single_jump_check(A1, [0, 0], (0,), (1,))
+
+
 def test_b1_span_check_a1():
     for lam in ([0], [1]):
         rep = b1_span_check(A1, lam, cutoff=4)
@@ -215,7 +220,7 @@ def _b1_deficiencies_exhaustive(gram, lam_dual, cutoff):
 
 
 @pytest.mark.parametrize("gram, lam, cutoff", [
-    (A1, [0], 5), (A1, [1], 5), (A2, [0, 0], 3), (A2, [1, 0], 3),
+    (A1, [0], 5), (A1, [1], 5), (A2, [0, 0], 3), (A2, [1, 0], 3), (A2, [0, 1], 3),
 ])
 def test_b1_span_check_matches_exhaustive_loop(gram, lam, cutoff):
     rep = b1_span_check(gram, lam, cutoff)
