@@ -382,10 +382,21 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     weight <= w_max, sections with pole bounds P, and source tensors of
     degree <= D - H where the headroom H = w_max + P - 1 caps how far a
     relation can climb; est_p is exact-by-construction for p <= D - H.
+
+    Rows pivot on their highest-degree component, so the pivot count at
+    degree p is the dimension of the degree-p graded piece of the relation
+    span.  With a fixed pivot order a fully reduced echelon form is unique
+    for its span, so the order of the rows does not change any count.  They
+    are added in ascending top degree.  A stored row holds nothing above its
+    own pivot's degree, so back-substitution then reaches only rows whose
+    pivot lies between the new pivot's degree and the new row's top degree,
+    mostly rows of the same degree.
     """
     voa = surface.voa
+    U = r_u = None
     if w_max is None:
-        _, w_max, _ = complement_U(voa)
+        U, w_max, _ = complement_U(voa)
+        r_u = w_max
     h = w_max + P - 1
     d_valid = D - h
     if d_valid < 0:
@@ -394,32 +405,43 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
         raise ValueError("module cutoffs must reach the degree cutoff D")
     n = len(surface.line.points)
     graded = _graded_tensors(surface, d_valid)
-    sources = [labs for labs, _ in graded]
     source_labels = [_labels_upto(m, d_valid) for m in surface.modules]
     # A relation from a source of degree <= d_valid stays within degree D.
     # Its label degrees are read from this table, not degree_of, which does
     # Fraction arithmetic on every call.
     degree = [{lab: d for d in range(D + 1) for lab in m.labels_at(d)}
               for m in surface.modules]
-    # Pivot keys are (D - degree, label), so elimination always pivots on a
-    # relation's highest-degree component; the pivot count at degree p is
-    # then dim of the degree-p graded piece of the relation span.
+    ops = [slot_matrices(surface, a, f, source_labels, check_quasi_primary=False)
+           for da in range(1, w_max + 1)
+           for a in quasi_primary_space(voa, da)
+           for f in section_basis(surface.line, da, [P] * n)]
+    # A relation's top degree is its source's degree plus the largest climb
+    # of one slot: slot i moves only the i-th label, by at most climbs[i]
+    # of that label.  Slots with an empty image do not count.
+    order = []
+    for o, mats in enumerate(ops):
+        climbs = [{lab: max(dg[k] for k in img) - dg[lab]
+                   for lab, img in mat.items() if img}
+                  for dg, mat in zip(degree, mats)]
+        for s, (labs, d) in enumerate(graded):
+            c = max((cl[lab] for cl, lab in zip(climbs, labs) if lab in cl),
+                    default=None)
+            if c is not None:
+                order.append((d + c, o, s))
+    order.sort()
+    last = {o: i for i, (_, o, _) in enumerate(order)}
+    # Pivot keys are (D - degree, label), so the pivot is a relation's
+    # highest-degree component.  Each row is built when it is added, and an
+    # operator's slot maps are dropped after its last row, so they give way
+    # to the echelon form as it grows.
     ech = Echelon()
-    for da in range(1, w_max + 1):
-        qps = quasi_primary_space(voa, da)
-        if not qps:
-            continue
-        sections = section_basis(surface.line, da, [P] * n)
-        for a in qps:
-            for f in sections:
-                mats = slot_matrices(surface, a, f, source_labels,
-                                     check_quasi_primary=False)
-                for labs in sources:
-                    rel = _tensor_image(mats, labs)
-                    if not rel:
-                        continue
-                    ech.add({(D - sum(dg[lab] for dg, lab in zip(degree, k)), k): v
-                             for k, v in rel.items()})
+    for i, (_, o, s) in enumerate(order):
+        rel = _tensor_image(ops[o], graded[s][0])
+        if last[o] == i:
+            ops[o] = None
+        if rel:
+            ech.add({(D - sum(dg[lab] for dg, lab in zip(degree, k)), k): v
+                     for k, v in rel.items()})
     killed = [0] * (D + 1)
     for (dk, _labs) in ech.pivot_rows:
         killed[D - dk] += 1
@@ -430,7 +452,7 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     stabilized = len(est) >= window and all(x == 0 for x in est[-window:])
     bound, provisional = (0, True)
     if with_bound:
-        bound, provisional = theorem_bound(surface)
+        bound, provisional = theorem_bound(surface, U, r_u)
     return CoinvariantReport(
         est, d_valid, sum(est), stabilized, bound, provisional,
         params={"D": D, "P": P, "w_max": w_max,
@@ -438,19 +460,26 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     )
 
 
-def theorem_bound(surface: LabeledLine) -> tuple[int, bool]:
+def theorem_bound(surface: LabeledLine, U: Sequence[Mapping] | None = None,
+                  r_u: int | None = None) -> tuple[int, bool]:
     """Product over slots of the cumulative dims of W^i/C_M(U, W^i).
 
-    At genus zero M = 1; the bound is provisional unless every factor's
-    quotient report is stabilized.
+    U and r_U are those of ``complement_U(surface.voa)``, computed here
+    unless given.  At genus zero M = 1; the bound is provisional unless
+    every factor's quotient report is stabilized.  A module object that
+    fills several slots is reported on once.
     """
-    voa = surface.voa
-    U, r_u, _ = complement_U(voa)
+    if U is None or r_u is None:
+        U, r_u, _ = complement_U(surface.voa)
     M, _ = m_constant_and_gaps(0, max(r_u, 1))
+    spec = SubspaceSpec("cmu", m=M, U=tuple(U))
+    reports: dict = {}
     bound = 1
     provisional = False
     for mod in surface.modules:
-        rep = quotient_report(mod, SubspaceSpec("cmu", m=M, U=tuple(U)))
+        if id(mod) not in reports:
+            reports[id(mod)] = quotient_report(mod, spec)
+        rep = reports[id(mod)]
         bound *= rep.cumulative
         provisional = provisional or not rep.stabilized
     return bound, provisional

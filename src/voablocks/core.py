@@ -70,9 +70,18 @@ class TruncatedModel(ABC):
         self._mode_cache: dict = {}
 
     # -- structure every model exposes ------------------------------------
-    voa: "TruncatedModel"  # the acting VOA; self for VOA models
+    _voa: "TruncatedModel | None" = None  # the acting VOA; None for VOA models
     is_voa: bool = False
     vacuum: Hashable = None  # vacuum label (VOA models)
+
+    @property
+    def voa(self) -> "TruncatedModel":
+        """The acting VOA: the model itself unless a VOA was given.
+
+        Not stored as ``self``, so a VOA model holds no reference cycle and
+        is freed as soon as its last reference goes.
+        """
+        return self if self._voa is None else self._voa
 
     @property
     def omega(self) -> State:

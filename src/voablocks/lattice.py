@@ -217,7 +217,7 @@ class FockModel(TruncatedModel):
         super().__init__(cutoff, lw, Fraction(r))
         self.kind = "lattice" if lattice_enabled else "heisenberg"
         self.is_voa = not any(self.lam_alpha)
-        self.voa = voa if voa is not None else self
+        self._voa = voa
         if voa is None and not self.is_voa:
             raise ValueError("a module needs an explicit VOA model")
         self.vacuum = ((), zero)
@@ -492,6 +492,10 @@ def single_jump_check(gram, lam_dual, alpha: Sequence[int], beta: Sequence[int])
     r = lat.rank
     alpha = tuple(int(x) for x in alpha)
     beta = tuple(int(x) for x in beta)
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if len(v) != r:
+            raise ValueError(f"{name} has {len(v)} entries, but the lattice "
+                             f"has rank {r}")
     diff = tuple(beta[i] - alpha[i] for i in range(r))
     lam_alpha = _reduce_lambda(lat, lam_dual)
     degs = []

@@ -63,6 +63,13 @@ class Echelon:
     minimal under ``pivot_key`` (default: ``_pivot_key``, the natural order
     within a key type).  Supports rank queries and residual reduction; used
     for all greedy span/complement computations.
+
+    The stored rows depend only on the span and ``pivot_key``, never on the
+    order rows were added in: a fully reduced echelon form is unique for its
+    span.  The order sets the cost.  A new pivot must be cleared from every
+    stored row that holds it, and a stored row holds only coordinates that
+    come after its own pivot, so adding rows in descending order of their
+    leading (minimal) key keeps that back-substitution small.
     """
 
     def __init__(self, pivot_key=None):

@@ -191,7 +191,7 @@ class VirasoroModel(TruncatedModel):
         self.c = Fraction(c)
         self.h = Fraction(h)
         self.is_voa = is_voa
-        self.voa = voa if voa is not None else self
+        self._voa = voa
         self.vacuum = ()
         self.action = VermaAction(self.c, self.h)
         self._build_quotient(submodule_gens or [])
@@ -220,26 +220,34 @@ class VirasoroModel(TruncatedModel):
         each built as L_{-lam_1} applied to the stored L_{-lam[1:]} g.  Any
         spanning set gives the same RREF: with a fixed pivot order the pivot
         set is the span's set of leading monomials, and a fully reduced
-        echelon form is unique for its span.
+        echelon form is unique for its span.  So the order of the rows is
+        free, and each level's vectors, from every generator, are added in
+        ascending position of their last monomial, the pivot each would take
+        unreduced.  A stored row holds no monomial past its own pivot, so a
+        new pivot past every stored one needs no back-substitution.
         """
         cutoff = self.cutoff
         orders = {d: sorted(partitions(d), key=lambda p: (_has_one(p), p))
                   for d in range(cutoff + 1)}
         self._sub = {}
-        for d, parts in orders.items():
-            last_first = {part: -i for i, part in enumerate(parts)}
-            self._sub[d] = Echelon(pivot_key=last_first.__getitem__)
+        pbws = []  # (level of g, {lam: L_{-lam} g})
         for g in gens:
             lvl = self._state_level(g)
-            if lvl is None or lvl > cutoff:
-                continue
-            pbw = {(): g}  # lam -> L_{-lam} g
-            for k in range(cutoff - lvl + 1):
-                for lam in partitions(k):
+            if lvl is not None and lvl <= cutoff:
+                pbws.append((lvl, {(): g}))
+        for d, parts in orders.items():
+            last_first = {part: -i for i, part in enumerate(parts)}
+            sub = self._sub[d] = Echelon(pivot_key=last_first.__getitem__)
+            vecs = []
+            for lvl, pbw in pbws:
+                for lam in partitions(d - lvl) if d >= lvl else ():
                     if lam:
                         pbw[lam] = self.action.apply_state(-lam[0], pbw[lam[1:]])
                     if pbw[lam]:
-                        self._sub[lvl + k].add(pbw[lam])
+                        vecs.append(pbw[lam])
+            for vec in sorted(vecs, key=lambda v: min(map(last_first.__getitem__, v)),
+                              reverse=True):
+                sub.add(vec)
         self._basis: dict[int, tuple] = {}
         self._reduce_map: dict[int, dict] = {}
         for d, parts in orders.items():

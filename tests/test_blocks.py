@@ -221,6 +221,53 @@ def test_vacuum_one_point_block_is_one_dimensional():
     assert not rep.bound_provisional
 
 
+def _plain_graded_ranks(surface, D, P, w_max):
+    """Pivots per degree of the relation rows, eliminated in the order they
+    are built: operator by operator, source by source, forward only."""
+    mods = surface.modules
+    d_valid = D - (w_max + P - 1)
+    tables = [{lab: d for d in range(D + 1) for lab in m.labels_at(d)} for m in mods]
+    degree = lambda labs: sum(t[lab] for t, lab in zip(tables, labs))
+    leading = lambda row: min(row, key=lambda k: (-degree(k), k))
+    pivots = {}
+    for da in range(1, w_max + 1):
+        for a in quasi_primary_space(surface.voa, da):
+            for f in section_basis(surface.line, da, [P] * len(mods)):
+                for labs in pure_tensors(surface, d_valid):
+                    row = qgvo_apply(surface, a, f, {labs: Fraction(1)})
+                    while row:
+                        lead = leading(row)
+                        if lead not in pivots:
+                            pivots[lead] = row
+                            break
+                        piv = pivots[lead]
+                        scale = row[lead] / piv[lead]
+                        for k, v in piv.items():
+                            row[k] = row.get(k, 0) - scale * v
+                            if not row[k]:
+                                del row[k]
+    killed = [0] * (D + 1)
+    for lead in pivots:
+        killed[degree(lead)] += 1
+    dims = [0] * (d_valid + 1)
+    for labs in pure_tensors(surface, d_valid):
+        dims[degree(labs)] += 1
+    return [dims[p] - killed[p] for p in range(d_valid + 1)]
+
+
+@pytest.mark.parametrize("rs", [(2, 1), (2, 2)], ids=["sse", "sss"])
+def test_estimate_matches_plain_elimination_in_built_order(rs):
+    # coinvariant_report adds its rows sorted by top degree; the graded
+    # pivot count of the span must not depend on that.
+    voa = ising_model(10)
+    sigma = irreducible_model(4, 3, 2, 2, 10, voa=voa)
+    third = sigma if rs == (2, 2) else irreducible_model(4, 3, *rs, 10, voa=voa)
+    surface = LabeledLine(PointedLine((0, 1, -1)), [sigma, sigma, third])
+    rep = coinvariant_report(surface, D=10, P=4, with_bound=False)
+    assert rep.est_per_degree == _plain_graded_ranks(surface, 10, 4,
+                                                     rep.params["w_max"])
+
+
 def test_theorem_bound_ising_vacuum():
     surface, voa = one_point_ising(10)
     bound, provisional = theorem_bound(surface)

@@ -154,6 +154,50 @@ def test_blocks_dim_builds_each_distinct_label_once(tmp_path, capsys, monkeypatc
     assert json.loads(out)["result"]["total"] == 1  # sigma x sigma contains eps once
 
 
+@pytest.mark.parametrize("labels, reports, result", [
+    # The bodies recorded when complement_U ran twice and the bound took one
+    # quotient report per slot.
+    (["sigma", "sigma", "sigma"], 1,
+     {"bound_provisional": False, "d_valid": 2, "est_per_degree": [0, 0, 0],
+      "stabilized": True, "theorem_bound": 8, "total": 0}),
+    (["sigma", "sigma", "eps"], 2,
+     {"bound_provisional": False, "d_valid": 2, "est_per_degree": [1, 0, 0],
+      "stabilized": False, "theorem_bound": 8, "total": 1}),
+])
+def test_blocks_dim_computes_u_once_and_one_bound_report_per_module(
+        tmp_path, capsys, monkeypatch, labels, reports, result):
+    from voablocks import blocks
+
+    calls = {"complement_U": 0, "quotient_report": 0}
+
+    def counted(name):
+        real = getattr(blocks, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(blocks, name, counted(name))
+    ising_labels = {"sigma": {"r": 2, "s": 2}, "eps": {"r": 2, "s": 1}}
+    config = {
+        "points": ["0", "1", "-1"],
+        "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1},
+        "labels": [ising_labels[lab] for lab in labels],
+        "D": 7,
+        "P": 2,
+    }
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(config))
+    code, out = run(capsys, "blocks", "dim", "--config", str(path))
+    assert code == 0
+    assert calls == {"complement_U": 1, "quotient_report": reports}
+    body = json.loads(out)["result"]
+    assert body == {**result, "params": {"D": 7, "P": 2, "points": ["0", "1", "-1"],
+                                         "w_max": 4}}
+
+
 @pytest.mark.parametrize("field,value", [
     ("D", -1), ("P", -1), ("D", 2.5), ("P", "4"), ("D", True),
 ])

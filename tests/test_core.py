@@ -1,6 +1,8 @@
 """Tests for the generic mode calculus and identity residuals."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from voablocks.core import (
     state_scale,
     state_sub,
 )
-from voablocks.lattice import heisenberg_model
+from voablocks.lattice import heisenberg_model, lattice_model
 from voablocks.virasoro import ising_model, vacuum_voa
 
 
@@ -122,3 +124,21 @@ def test_quasi_primary_space_ising():
     qp4 = quasi_primary_space(voa, 4)
     assert len(qp4) == 1 and l1_apply(voa, qp4[0]) == {}
     assert is_quasi_primary_generated(voa)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ising_model(8),
+    lambda: lattice_model([[2]], [0], 4),
+], ids=["ising", "lattice-A1"])
+def test_a_voa_model_is_freed_without_the_cycle_collector(build):
+    # A VOA model is its own VOA; storing that as self.voa made a reference
+    # cycle that lived on until a gen-2 collection.
+    gc.disable()
+    try:
+        model = build()
+        assert model.voa is model
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()

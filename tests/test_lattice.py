@@ -185,6 +185,19 @@ def test_single_jump_rejects_lambda_of_the_wrong_length():
         single_jump_check(A1, [0, 0], (0,), (1,))
 
 
+@pytest.mark.parametrize("gram, alpha, beta, message", [
+    (A1, (0, 5), (1, 7), "alpha has 2 entries"),
+    (A1, (0,), (1, 7), "beta has 2 entries"),
+    (A2, (0,), (1, 0), "alpha has 1 entries"),
+    (A2, (0, 0), (1,), "beta has 1 entries"),
+])
+def test_single_jump_rejects_alpha_or_beta_of_the_wrong_length(gram, alpha, beta, message):
+    # Extra entries were dropped (then a VerificationError was raised), and a
+    # short vector hit an IndexError.
+    with pytest.raises(ValueError, match=message):
+        single_jump_check(gram, [0] * len(gram), alpha, beta)
+
+
 def test_b1_span_check_a1():
     for lam in ([0], [1]):
         rep = b1_span_check(A1, lam, cutoff=4)

@@ -61,15 +61,24 @@ def test_solver_echelon_replays_or_reports_rank_rise(m, data):
     assert replay == target
 
 
+def _reordered(k):
+    # A pivot order unrelated to the natural one on column indices.
+    return (k % 3, -k)
+
+
 @small
-@given(matrices(), st.randoms(use_true_random=False))
-def test_echelon_rank_is_invariant_under_row_permutation(m, rng):
+@given(matrices(max_rows=6), st.randoms(use_true_random=False),
+       st.sampled_from([None, _reordered]))
+def test_echelon_rank_is_invariant_under_row_permutation(m, rng, pivot_key):
+    # A fully reduced echelon form with a fixed pivot order is unique for its
+    # span, so every insertion order stores the same rows, not just as many.
     shuffled = list(m)
     rng.shuffle(shuffled)
-    ranks = []
-    for rows in (m, shuffled):
-        ech = Echelon()
+    forms = []
+    for rows in (m, shuffled, m[::-1]):
+        ech = Echelon(pivot_key=pivot_key)
         for row in rows:
             ech.add(sparse(row))
-        ranks.append(ech.rank)
-    assert ranks[0] == ranks[1] == sympy_rank(m)
+        forms.append(ech.pivot_rows)
+    assert len(forms[0]) == sympy_rank(m)
+    assert forms[0] == forms[1] == forms[2]
