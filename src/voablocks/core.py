@@ -52,6 +52,11 @@ def binom(p: int, i: int) -> int:
     return (-1) ** i * math.comb(-p + i - 1, i)
 
 
+def _finite_floor(x) -> int:
+    """Last index of a sum whose terms vanish past x; -1 when x < 0."""
+    return math.floor(x) if x >= 0 else -1
+
+
 class TruncatedModel(ABC):
     """A concrete graded model with an exact mode-action rule.
 
@@ -202,9 +207,7 @@ def _iterate_formula(model: TruncatedModel, gen, k: int, c_state: Mapping, Q: in
     wt_w = model.weight_of(wlab)
     out: State = {}
     # First family: vanishes once c(Q+i)w is identically zero by grading.
-    i_max1 = wt_c + wt_w - Q - 1 - model.lowest_weight
-    i1 = math.floor(i_max1) if i_max1 >= 0 else -1
-    for i in range(i1 + 1):
+    for i in range(_finite_floor(wt_c + wt_w - Q - 1 - model.lowest_weight) + 1):
         inner = mode_apply(model, c_state, Q + i, {wlab: Fraction(1)})
         if not inner:
             continue
@@ -214,10 +217,8 @@ def _iterate_formula(model: TruncatedModel, gen, k: int, c_state: Mapping, Q: in
             vec_add_scaled(term, model.gen_mode(gen, -k - i, lab), cf)
         vec_add_scaled(out, term, coeff)
     # Second family: vanishes once g(i)w is zero by grading.
-    i_max2 = wt_g + wt_w - 1 - model.lowest_weight
-    i2 = math.floor(i_max2) if i_max2 >= 0 else -1
     sign = -Fraction((-1) ** k)
-    for i in range(i2 + 1):
+    for i in range(_finite_floor(wt_g + wt_w - 1 - model.lowest_weight) + 1):
         inner = model.gen_mode(gen, i, wlab)
         if not inner:
             continue
@@ -243,11 +244,9 @@ def check_identity(model: TruncatedModel, kind: str, **args) -> State:
     raise ValueError(f"unknown identity kind {kind!r}")
 
 
-def _finite_floor(x) -> int:
-    return math.floor(x) if x >= 0 else -1
-
-
 def _borcherds_residual(model, a, b, w, p: int, q: int, r: int) -> State:
+    """sum_i C(p,i) (a(r+i)b)(p+q-i)w minus
+    sum_i (-1)^i C(r,i) [a(p+r-i)b(q+i)w - (-1)^r b(q+r-i)a(p+i)w]."""
     voa = model.voa
     wa, wb = voa.state_weight(a), voa.state_weight(b)
     ww = model.state_weight(w)
@@ -256,7 +255,7 @@ def _borcherds_residual(model, a, b, w, p: int, q: int, r: int) -> State:
     lhs: State = {}
     # a(r+i)b = 0 once the product weight drops below 0 in the N-graded VOA.
     for i in range(_finite_floor(wa + wb - r - 1) + 1):
-        if binom(p, i) == 0 and p >= 0 and i > p:
+        if 0 <= p < i:  # C(p, i) = 0 from here on
             break
         ab = mode_apply(voa, a, r + i, b)
         if not ab:
@@ -278,42 +277,13 @@ def _borcherds_residual(model, a, b, w, p: int, q: int, r: int) -> State:
 
 
 def _associativity_residual(model, a, b, w, n: int, q: int) -> State:
-    """(a(-n)b)(-q)w minus its associativity expansion (n >= 1)."""
-    voa = model.voa
-    wa, wb = voa.state_weight(a), voa.state_weight(b)
-    ww = model.state_weight(w)
-    if wa is None or wb is None or ww is None:
-        return {}
-    lhs = mode_apply(model, mode_apply(voa, a, -n, b), -q, w)
-    rhs: State = {}
-    i_stop = _finite_floor(max(wb + ww + q - 1 - model.lowest_weight,
-                               wa + ww - 1 - model.lowest_weight))
-    for i in range(i_stop + 1):
-        coeff = Fraction(binom(-n, i) * (-1) ** i)
-        t1 = mode_apply(model, a, -n - i, mode_apply(model, b, -q + i, w))
-        vec_add_scaled(rhs, t1, coeff)
-        t2 = mode_apply(model, b, -n - q - i, mode_apply(model, a, i, w))
-        vec_add_scaled(rhs, t2, -coeff * (-1) ** n)
-    return state_sub(lhs, rhs)
+    """(a(-n)b)(-q)w minus its associativity expansion (n >= 1): Borcherds at p = 0."""
+    return _borcherds_residual(model, a, b, w, p=0, q=-q, r=-n)
 
 
 def _commutator_residual(model, a, b, w, p: int, q: int) -> State:
-    voa = model.voa
-    wa, wb = voa.state_weight(a), voa.state_weight(b)
-    ww = model.state_weight(w)
-    if wa is None or wb is None or ww is None:
-        return {}
-    lhs = state_sub(
-        mode_apply(model, a, p, mode_apply(model, b, q, w)),
-        mode_apply(model, b, q, mode_apply(model, a, p, w)),
-    )
-    rhs: State = {}
-    for i in range(_finite_floor(wa + wb - 1) + 1):
-        ab = mode_apply(voa, a, i, b)
-        if not ab:
-            continue
-        vec_add_scaled(rhs, mode_apply(model, ab, p + q - i, w), Fraction(binom(p, i)))
-    return state_sub(lhs, rhs)
+    """[a(p), b(q)]w - sum_i C(p,i) (a(i)b)(p+q-i)w: Borcherds at r = 0, sides swapped."""
+    return state_scale(_borcherds_residual(model, a, b, w, p=p, q=q, r=0), -1)
 
 
 def _translation_residual(model, a, w, q: int) -> State:

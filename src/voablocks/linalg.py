@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Q = Fraction
-
 # ---------------------------------------------------------------------------
 # Rational serialization ("num/den" strings in all JSON interfaces)
 
@@ -165,180 +163,3 @@ def kernel_of(pairs: Iterable[tuple[object, Mapping]]) -> list[dict]:
             expr = se.solve(image)
             kernel.append({label: Fraction(1), **{j: -cf for j, cf in expr.items()}})
     return kernel
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in one parameter t over Q
-
-
-class Laurent:
-    """Laurent polynomial in t with exact rational coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        self.c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = Fraction(v)
-                if v:
-                    self.c[int(e)] = v
-
-    @classmethod
-    def const(cls, v) -> "Laurent":
-        return cls({0: Fraction(v)})
-
-    @classmethod
-    def t_power(cls, e: int, v=1) -> "Laurent":
-        return cls({e: Fraction(v)})
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, Laurent):
-            return self.c == other.c
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __add__(self, other: "Laurent") -> "Laurent":
-        out = dict(self.c)
-        for e, v in other.c.items():
-            n = out.get(e, 0) + v
-            if n:
-                out[e] = n
-            else:
-                out.pop(e, None)
-        r = Laurent()
-        r.c = out
-        return r
-
-    def __neg__(self) -> "Laurent":
-        r = Laurent()
-        r.c = {e: -v for e, v in self.c.items()}
-        return r
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Laurent":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Laurent()
-            r = Laurent()
-            r.c = {e: v * other for e, v in self.c.items()}
-            return r
-        out: dict[int, Fraction] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                n = out.get(e, 0) + v1 * v2
-                if n:
-                    out[e] = n
-                else:
-                    out.pop(e, None)
-        r = Laurent()
-        r.c = out
-        return r
-
-    __rmul__ = __mul__
-
-    def eval(self, t0: Fraction) -> Fraction:
-        """Exact substitution t = t0."""
-        t0 = Fraction(t0)
-        if t0 == 0:
-            if any(e < 0 for e in self.c):
-                raise ZeroDivisionError("negative exponents present at t = 0")
-            return self.c.get(0, Fraction(0))
-        return sum((v * t0 ** e for e, v in self.c.items()), Fraction(0))
-
-    def to_json(self) -> dict:
-        return {str(e): qstr(v) for e, v in sorted(self.c.items())}
-
-    def __repr__(self):
-        if not self.c:
-            return "Laurent(0)"
-        terms = " + ".join(f"({qstr(v)})t^{e}" for e, v in sorted(self.c.items()))
-        return f"Laurent({terms})"
-
-
-# ---------------------------------------------------------------------------
-# Bivariate polynomials in (x, y) over Laurent
-
-
-class BivariatePoly:
-    """Polynomial in x, y whose coefficients are Laurent polynomials in t."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], Laurent] | None = None):
-        self.c: dict[tuple[int, int], Laurent] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if v:
-                    self.c[(int(k[0]), int(k[1]))] = v
-
-    @classmethod
-    def term(cls, i: int, j: int, coeff: Laurent) -> "BivariatePoly":
-        return cls({(i, j): coeff})
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, BivariatePoly):
-            return self.c == other.c
-        return NotImplemented
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            n = out.get(k, Laurent()) + v
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-        r = BivariatePoly()
-        r.c = out
-        return r
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self + BivariatePoly({k: -v for k, v in other.c.items()})
-
-    def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out: dict[tuple[int, int], Laurent] = {}
-        for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
-                k = (i1 + i2, j1 + j2)
-                n = out.get(k, Laurent()) + v1 * v2
-                if n:
-                    out[k] = n
-                else:
-                    out.pop(k, None)
-        r = BivariatePoly()
-        r.c = out
-        return r
-
-    def x_degree(self) -> int:
-        return max((i for i, _ in self.c), default=-1)
-
-    def eval_t(self, t0: Fraction) -> dict[tuple[int, int], Fraction]:
-        out = {}
-        for k, v in self.c.items():
-            val = v.eval(t0)
-            if val:
-                out[k] = val
-        return out
-
-    def subs_x0(self) -> "BivariatePoly":
-        r = BivariatePoly()
-        r.c = {k: v for k, v in self.c.items() if k[0] == 0}
-        return r
-
-    def to_json(self) -> dict:
-        return {f"{i},{j}": v.to_json() for (i, j), v in sorted(self.c.items())}
-
-    def __repr__(self):
-        return f"BivariatePoly({self.c!r})"

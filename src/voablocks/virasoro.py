@@ -12,13 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import State, TruncatedModel, TruncationError
-from .linalg import (
-    BivariatePoly,
-    Echelon,
-    Laurent,
-    kernel_of,
-    vec_add_scaled,
-)
+from .linalg import Echelon, kernel_of, vec_add_scaled
 
 
 class VerificationError(RuntimeError):
@@ -374,54 +368,70 @@ def ising_model(cutoff: int) -> VirasoroModel:
 
 # ---------------------------------------------------------------------------
 # Level-rs projection polynomials (square-root construction)
+#
+# A polynomial in x, y, t and 1/t is a sparse vector {(i, j, e): Fraction}
+# holding the coefficient of x^i y^j t^e.
 
 
-def feigin_fuchs(r: int, s: int) -> BivariatePoly:
-    """The degree-rs polynomial F_{r,s}(x, y; t).
+def _poly_mul(f: Mapping, g: Mapping) -> dict:
+    """The product f g; zero coefficients in g are allowed and never stored."""
+    out: dict = {}
+    for (i, j, e), cf in f.items():
+        vec_add_scaled(out, {(i + i2, j + j2, e + e2): v for (i2, j2, e2), v in g.items()}, cf)
+    return out
+
+
+def _eval_t(f: Mapping, t0: Fraction) -> dict[tuple[int, int], Fraction]:
+    """Exact substitution t = t0 (nonzero): a polynomial {(i, j): Fraction} in x, y."""
+    out: dict = {}
+    for (i, j, e), cf in f.items():
+        vec_add_scaled(out, {(i, j): Fraction(t0) ** e}, cf)
+    return out
+
+
+def feigin_fuchs(r: int, s: int) -> dict[tuple[int, int, int], Fraction]:
+    """The degree-rs polynomial F_{r,s}(x, y; t) as {(i, j, e): Fraction}.
 
     Its square is the product over 0 <= k < r, 0 <= l < s of
     x^2 - ((r-2k-1) t^{1/2} - (s-2l-1) t^{-1/2})^2 y.  The factor at (k,l)
     equals the factor at (r-1-k, s-1-l), so pairing them yields the square
-    root directly; the construction is verified by squaring in ff_square.
+    root directly; ff_squares_to_product checks the construction by squaring.
     """
     if r < 1 or s < 1:
         raise ValueError("r, s must be positive")
-    result = BivariatePoly({(0, 0): Laurent.const(1)})
-    seen = set()
+    result = {(0, 0, 0): Fraction(1)}
     for k in range(r):
         for l in range(s):
             partner = (r - 1 - k, s - 1 - l)
             if (k, l) == partner:
                 # self-paired middle factor: contributes x
-                result = result * BivariatePoly({(1, 0): Laurent.const(1)})
-                continue
-            if partner in seen:
-                continue
-            seen.add((k, l))
-            a = r - 2 * k - 1
-            b = s - 2 * l - 1
-            # A^2 = a^2 t - 2ab + b^2 t^{-1}
-            a2 = Laurent({1: Fraction(a * a), 0: Fraction(-2 * a * b), -1: Fraction(b * b)})
-            factor = BivariatePoly({(2, 0): Laurent.const(1), (0, 1): -a2})
-            result = result * factor
+                result = _poly_mul(result, {(1, 0, 0): Fraction(1)})
+            elif (k, l) < partner:
+                a = r - 2 * k - 1
+                b = s - 2 * l - 1
+                # x^2 - A^2 y with A^2 = a^2 t - 2ab + b^2 t^{-1}
+                result = _poly_mul(result, {(2, 0, 0): 1, (0, 1, 1): -a * a,
+                                            (0, 1, 0): 2 * a * b, (0, 1, -1): -b * b})
     return result
 
 
-def ff_square_product(r: int, s: int) -> BivariatePoly:
+def ff_square_product(r: int, s: int) -> dict[tuple[int, int, int], Fraction]:
     """The cited product formula for F_{r,s}^2, expanded over Q[t, 1/t]."""
-    result = BivariatePoly({(0, 0): Laurent.const(1)})
+    result = {(0, 0, 0): Fraction(1)}
     for k in range(r):
         for l in range(s):
-            a = r - 2 * k - 1
-            b = s - 2 * l - 1
-            a2 = Laurent({1: Fraction(a * a), 0: Fraction(-2 * a * b), -1: Fraction(b * b)})
-            result = result * BivariatePoly({(2, 0): Laurent.const(1), (0, 1): -a2})
+            # ((r-2k-1) t^{1/2} - (s-2l-1) t^{-1/2})^2, term by power of t
+            sq = {1: (r - 2 * k - 1) ** 2, 0: -2 * (r - 2 * k - 1) * (s - 2 * l - 1),
+                  -1: (s - 2 * l - 1) ** 2}
+            factor = {(2, 0, 0): Fraction(1)}
+            vec_add_scaled(factor, {(0, 1, e): v for e, v in sq.items()}, Fraction(-1))
+            result = _poly_mul(result, factor)
     return result
 
 
 def ff_squares_to_product(r: int, s: int) -> bool:
     F = feigin_fuchs(r, s)
-    return (F * F) == ff_square_product(r, s)
+    return _poly_mul(F, F) == ff_square_product(r, s)
 
 
 def project_drop_deep_modes(u: Mapping) -> dict[tuple[int, int], Fraction]:
@@ -429,21 +439,11 @@ def project_drop_deep_modes(u: Mapping) -> dict[tuple[int, int], Fraction]:
 
     Monomials are stored weakly decreasing, i.e. already in the order
     L_{-2}^j L_{-1}^i, so the projection reads exponents off directly:
-    x^i y^j <-> i ones and j twos.
+    x^i y^j <-> i ones and j twos.  Distinct surviving monomials have
+    distinct exponents, so no two terms combine.
     """
-    out: dict[tuple[int, int], Fraction] = {}
-    for part, cf in u.items():
-        if any(n >= 3 for n in part):
-            continue
-        j = sum(1 for n in part if n == 2)
-        i = sum(1 for n in part if n == 1)
-        key = (i, j)
-        new = out.get(key, 0) + cf
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return out
+    return {(part.count(1), part.count(2)): cf for part, cf in u.items()
+            if all(n <= 2 for n in part)}
 
 
 def ff_verify(p: int, q: int, r: int, s: int) -> Fraction:
@@ -467,7 +467,7 @@ def ff_verify(p: int, q: int, r: int, s: int) -> Fraction:
     scale = 1 / u[lead]
     u = {k: v * scale for k, v in u.items()}
     pu = project_drop_deep_modes(u)
-    Fpoly = feigin_fuchs(r, s).eval_t(Fraction(p, q))
+    Fpoly = _eval_t(feigin_fuchs(r, s), Fraction(p, q))
     lead_key = (level, 0)
     if lead_key not in Fpoly:
         raise VerificationError("F_{r,s} is not monic in x")
@@ -490,7 +490,7 @@ def quotient_ring_bounds(p: int, q: int, r: int, s: int) -> tuple[int, int]:
     """
     _validate_minimal(p, q, r, s)
     t0 = Fraction(p, q)
-    F = feigin_fuchs(q - 1, p - 1).subs_x0().eval_t(t0)
+    F = _eval_t({k: v for k, v in feigin_fuchs(q - 1, p - 1).items() if k[0] == 0}, t0)
     expo = (p - 1) * (q - 1) // 2
     if set(F) != {(0, expo)}:
         raise VerificationError(

@@ -1,5 +1,6 @@
 """Tests for the command-line report front door."""
 
+import hashlib
 import json
 
 import pytest
@@ -69,6 +70,35 @@ def test_ff_verify_command(capsys):
                     "-p", "4", "-q", "3", "-r", "2", "-s", "2")
     assert code == 0
     assert json.loads(out)["result"] == {"alpha": "1", "ok": True}
+
+
+SIGMA = '{"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 2}'
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("check-identities", "--model", "ising", "--cutoff", "8"),
+     "e3e071d781533aa0013978b5f1b5998b614b67ed94fb301b8f2430e61f843807"),
+    (("check-identities", "--model", "a1", "--cutoff", "6"),
+     "4ff63221d909a47cd40efae4351f8ec4b784d2eac89a7fbbfa57a869a43df607"),
+    (("check-identities", "--model", SIGMA, "--cutoff", "7"),
+     "2ea99141d7f10e2d280e6f5e675c1c00d32eef41ee5a81b12bc084c286562b37"),
+    (("virasoro", "ff-verify", "-p", "5", "-q", "3", "-r", "2", "-s", "2"),
+     "b2277691420cadd6cea61ea7f5f2a20cad2f3722979e390e260c8694c189d497"),
+    (("virasoro", "ff-verify", "-p", "7", "-q", "2", "-r", "1", "-s", "3"),
+     "b2277691420cadd6cea61ea7f5f2a20cad2f3722979e390e260c8694c189d497"),
+    (("virasoro", "bounds", "-p", "5", "-q", "4", "-r", "2", "-s", "2"),
+     "5989262e2b295c194f51a4ea37de577ed54ed8a024281a22a92dabef2f57571d"),
+    (("virasoro", "bounds", "-p", "9", "-q", "2", "-r", "1", "-s", "4"),
+     "df9d7705b58f02bee591c8d9ec9aecb656df93849f99b5c4a88bc296bf90ad60"),
+], ids=["identities-ising-8", "identities-a1-6", "identities-sigma-7",
+        "ff-verify-5-3-2-2", "ff-verify-7-2-1-3", "bounds-5-4-2-2", "bounds-9-2-1-4"])
+def test_report_body_matches_its_recorded_digest(capsys, argv, digest):
+    """Report bodies that bench/digests.json does not cover, pinned by the
+    sha256 of ``json.dumps(result, sort_keys=True)`` from an earlier tree."""
+    code, out = run(capsys, *argv)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_rr_gaps_command(capsys):

@@ -1,14 +1,10 @@
-"""Tests for exact sparse linear algebra and polynomial containers."""
+"""Tests for exact sparse linear algebra."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
 from voablocks.linalg import (
-    BivariatePoly,
     Echelon,
-    Laurent,
     SolverEchelon,
     kernel_of,
     qparse,
@@ -98,24 +94,3 @@ def test_per_degree_echelon_rank():
         echelons[d].add(vec)
     assert [dim - e.rank for dim, e in zip(ambient_dims, echelons)] == [0, 2, 2]
 
-
-def test_laurent_arithmetic():
-    t = Laurent.t_power(1)
-    tinv = Laurent.t_power(-1)
-    p = t + tinv             # t + 1/t
-    sq = p * p               # t^2 + 2 + t^-2
-    assert sq.eval(Fraction(2)) == Fraction(4) + 2 + Fraction(1, 4)
-    diff = sq - Laurent.const(Fraction(2))
-    assert diff.eval(Fraction(3)) == Fraction(9) + Fraction(1, 9)
-
-
-def test_bivariate_poly_ops():
-    x = BivariatePoly({(1, 0): Laurent.const(Fraction(1))})
-    y = BivariatePoly({(0, 1): Laurent.const(Fraction(1))})
-    p = x * x - y            # x^2 - y
-    q = p * p
-    assert q.x_degree() == 4
-    vals = q.eval_t(Fraction(1))
-    assert vals[(4, 0)] == 1 and vals[(2, 1)] == -2 and vals[(0, 2)] == 1
-    only_y = p.subs_x0()
-    assert only_y.eval_t(Fraction(1)) == {(0, 1): Fraction(-1)}

@@ -8,7 +8,7 @@ import pytest
 
 from voablocks import virasoro
 from voablocks.core import TruncationError, check_identity, mode_apply
-from voablocks.linalg import Echelon
+from voablocks.linalg import Echelon, vec_add_scaled
 from voablocks.virasoro import (
     VermaAction,
     VerificationError,
@@ -338,12 +338,56 @@ def test_ff_square_equals_cited_product():
 
 
 def test_ff_is_monic_of_degree_rs():
-    from voablocks.linalg import Laurent
-
     for r, s in [(1, 2), (2, 2), (3, 4)]:
         F = feigin_fuchs(r, s)
-        assert F.x_degree() == r * s
-        assert F.c[(r * s, 0)] == Laurent.const(1)
+        assert max(i for i, _, _ in F) == r * s
+        assert {e: v for (i, j, e), v in F.items() if (i, j) == (r * s, 0)} == {0: 1}
+
+
+def test_ff_matches_sympy_expansion_of_the_cited_product():
+    """F_{r,s}^2 and ff_square_product against sympy's own expansion of the
+    cited product of x^2 - ((r-2k-1) T - (s-2l-1)/T)^2 y, with T^2 = t."""
+    import sympy
+
+    x, y, T = sympy.symbols("x y T")
+
+    def expr(poly):
+        return sympy.Add(*(sympy.Rational(v.numerator, v.denominator)
+                           * x**i * y**j * T**(2 * e) for (i, j, e), v in poly.items()))
+
+    for r in range(1, 9):
+        for s in range(1, 8 // r + 1):
+            cited = sympy.expand(sympy.Mul(*(
+                x**2 - ((r - 2 * k - 1) * T - sympy.Integer(s - 2 * l - 1) / T)**2 * y
+                for k in range(r) for l in range(s))))
+            F = expr(feigin_fuchs(r, s))
+            assert sympy.expand(F**2 - cited) == 0, (r, s)
+            assert sympy.expand(expr(virasoro.ff_square_product(r, s)) - cited) == 0, (r, s)
+            lead = sympy.Poly(F, x)
+            assert lead.degree() == r * s and lead.LC() == 1, (r, s)
+
+
+def test_laurent_arithmetic():
+    p = {(0, 0, 1): Fraction(1), (0, 0, -1): Fraction(1)}  # t + 1/t
+    sq = virasoro._poly_mul(p, p)                          # t^2 + 2 + t^-2
+    assert virasoro._eval_t(sq, Fraction(2)) == {(0, 0): Fraction(4) + 2 + Fraction(1, 4)}
+    diff = dict(sq)
+    vec_add_scaled(diff, {(0, 0, 0): Fraction(1)}, Fraction(-2))
+    assert diff == {(0, 0, 2): 1, (0, 0, -2): 1}
+    assert virasoro._eval_t(diff, Fraction(3)) == {(0, 0): Fraction(9) + Fraction(1, 9)}
+
+
+def test_bivariate_poly_ops():
+    x = {(1, 0, 0): Fraction(1)}
+    p = virasoro._poly_mul(x, x)                           # x^2 - y
+    vec_add_scaled(p, {(0, 1, 0): Fraction(1)}, Fraction(-1))
+    q = virasoro._poly_mul(p, p)
+    assert max(i for i, _, _ in q) == 4
+    vals = virasoro._eval_t(q, Fraction(1))
+    assert vals[(4, 0)] == 1 and vals[(2, 1)] == -2 and vals[(0, 2)] == 1
+    only_y = {k: v for k, v in p.items() if k[0] == 0}
+    assert virasoro._eval_t(only_y, Fraction(1)) == {(0, 1): Fraction(-1)}
+    assert {k: v for k, v in q.items() if k[0] == 0} == {(0, 2, 0): 1}
 
 
 def test_ff_verify_minimal_series_entries():
