@@ -139,27 +139,18 @@ def laurent_expand(line: PointedLine, f: MeromorphicSection, i: int,
         raise ValueError("invalid point index")
     q = line.points[i]
     out: dict[int, Fraction] = {}
-
-    def put(n: int, c: Fraction) -> None:
-        if c and n <= order_cutoff:
-            new = out.get(n, 0) + c
-            if new:
-                out[n] = new
-            else:
-                out.pop(n, None)
-
     for j, c in f.poly.items():
         # z^j = (q + z_i)^j
-        for k in range(min(j, order_cutoff) + 1):
-            put(k, c * binom(j, k) * q ** (j - k))
+        vec_add_scaled(out, {k: binom(j, k) * q ** (j - k)
+                             for k in range(min(j, order_cutoff) + 1)}, c)
     for (jj, m), c in f.poles.items():
-        if jj == i:
-            put(-m, c)
-            continue
-        # (z - Q_j)^{-m} = (delta + z_i)^{-m}, delta = Q_i - Q_j != 0
-        delta = q - line.points[jj]
-        for k in range(order_cutoff + 1):
-            put(k, c * binom(-m, k) * delta ** (-m - k))
+        if jj != i:
+            # (z - Q_j)^{-m} = (delta + z_i)^{-m}, delta = Q_i - Q_j != 0
+            delta = q - line.points[jj]
+            vec_add_scaled(out, {k: binom(-m, k) * delta ** (-m - k)
+                                 for k in range(order_cutoff + 1)}, c)
+        elif -m <= order_cutoff:
+            vec_add_scaled(out, {-m: Fraction(1)}, c)
     return out
 
 
@@ -196,12 +187,12 @@ def _labels_upto(mod: TruncatedModel, degree: int) -> list:
 
 
 def slot_matrices(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
-                  labels: Sequence, check_quasi_primary: bool = True) -> list[dict]:
+                  labels: Sequence) -> list[dict]:
     """Per slot i, {w: Res_{z_i} Y(a, z_i) ι_{z_i}f w} for w in labels[i].
 
     The operator (a, f) is the sum over slots of these single-module maps.
-    Raises ValueError if wt a differs from the section weight, or (with
-    check_quasi_primary) if a is not quasi-primary.
+    Raises ValueError if wt a differs from the section weight, or if a is
+    not quasi-primary.
     """
     voa = surface.voa
     wt_a = voa.state_weight(a)
@@ -210,7 +201,7 @@ def slot_matrices(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
     if wt_a != f.weight:
         raise ValueError(f"state weight {wt_a} does not match section weight "
                          f"{f.weight}")
-    if check_quasi_primary and l1_apply(voa, a):
+    if l1_apply(voa, a):
         raise ValueError("quasi-global operators require a quasi-primary state")
     wt_a = int(wt_a)
     out = []
@@ -241,14 +232,14 @@ def _tensor_image(mats: Sequence[dict], labs: tuple) -> dict:
 
 
 def qgvo_apply(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
-               w: Mapping, check_quasi_primary: bool = True) -> dict:
+               w: Mapping) -> dict:
     """Sum over slots of Res_{z_i} Y(a, z_i) ι_{z_i}f on a tensor state.
 
     w maps tuples of module basis labels to coefficients.
     """
     labels = [list(dict.fromkeys(labs[i] for labs in w))
               for i in range(len(surface.modules))]
-    mats = slot_matrices(surface, a, f, labels, check_quasi_primary)
+    mats = slot_matrices(surface, a, f, labels)
     out: dict = {}
     for labs, cf in w.items():
         vec_add_scaled(out, _tensor_image(mats, labs), cf)
@@ -350,6 +341,9 @@ def bracket_closure_check(surface: LabeledLine, op1: tuple, op2: tuple) -> bool:
 # ---------------------------------------------------------------------------
 # Coinvariant dimension estimation
 
+# An estimate is stabilized when its top _STABLE_WINDOW degrees are all zero.
+_STABLE_WINDOW = 3
+
 
 @dataclass
 class CoinvariantReport:
@@ -374,7 +368,7 @@ class CoinvariantReport:
 
 
 def coinvariant_report(surface: LabeledLine, D: int, P: int,
-                       w_max: int | None = None, window: int = 3,
+                       w_max: int | None = None,
                        with_bound: bool = True) -> CoinvariantReport:
     """Graded estimate of the coinvariant dimensions on the pointed line.
 
@@ -411,7 +405,7 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     # Fraction arithmetic on every call.
     degree = [{lab: d for d in range(D + 1) for lab in m.labels_at(d)}
               for m in surface.modules]
-    ops = [slot_matrices(surface, a, f, source_labels, check_quasi_primary=False)
+    ops = [slot_matrices(surface, a, f, source_labels)
            for da in range(1, w_max + 1)
            for a in quasi_primary_space(voa, da)
            for f in section_basis(surface.line, da, [P] * n)]
@@ -449,7 +443,7 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     for _, d in graded:
         dims[d] += 1
     est = [dims[p] - killed[p] for p in range(d_valid + 1)]
-    stabilized = len(est) >= window and all(x == 0 for x in est[-window:])
+    stabilized = len(est) >= _STABLE_WINDOW and not any(est[-_STABLE_WINDOW:])
     bound, provisional = (0, True)
     if with_bound:
         bound, provisional = theorem_bound(surface, U, r_u)

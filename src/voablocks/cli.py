@@ -62,6 +62,30 @@ class SchemaError(ValueError):
 # Model descriptors
 
 
+def _object(value, prefix: str) -> dict:
+    """value itself, if it is a JSON/TOML object; else a schema error."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{prefix}: expected an object, got {value!r}")
+    return value
+
+
+def _read_object(path: str, prefix: str) -> dict:
+    """The object in a JSON file, or in a TOML file if path ends in .toml."""
+    try:
+        with open(path, "rb") as fh:
+            if path.endswith(".toml"):
+                import tomllib
+
+                value = tomllib.load(fh)
+            else:
+                value = json.load(fh)
+    except OSError as e:
+        raise SchemaError(f"{prefix}: cannot read {path!r}: {e}") from None
+    except ValueError as e:  # json.JSONDecodeError and tomllib.TOMLDecodeError
+        raise SchemaError(f"{prefix}: failed to parse {path!r}: {e}") from None
+    return _object(value, prefix)
+
+
 def load_descriptor(text: str) -> dict:
     """A named shortcut, inline JSON, or a JSON/TOML file path."""
     if text in NAMED_MODELS:
@@ -71,21 +95,11 @@ def load_descriptor(text: str) -> dict:
             return json.loads(text)
         except json.JSONDecodeError as e:
             raise SchemaError(f"model: invalid inline JSON: {e}") from None
-    try:
-        with open(text, "rb") as fh:
-            if text.endswith(".toml"):
-                import tomllib
-
-                return tomllib.load(fh)
-            return json.load(fh)
-    except OSError:
-        raise SchemaError(f"model: not a named model, JSON, or file: {text!r}")
-    except (json.JSONDecodeError, ValueError) as e:
-        raise SchemaError(f"model: failed to parse {text!r}: {e}") from None
+    return _read_object(text, "model")
 
 
 def build_model(desc: dict, cutoff: int) -> TruncatedModel:
-    kind = desc.get("kind")
+    kind = _object(desc, "model").get("kind")
     try:
         if kind == "virasoro-vacuum":
             return vacuum_voa(qparse(desc["c"]), cutoff)
@@ -280,18 +294,7 @@ def _build_label_module(voa: TruncatedModel, label, cutoff: int):
 
 
 def cmd_blocks_dim(args) -> tuple[dict, dict, int]:
-    try:
-        with open(args.config, "rb") as fh:
-            if args.config.endswith(".toml"):
-                import tomllib
-
-                config = tomllib.load(fh)
-            else:
-                config = json.load(fh)
-    except OSError as e:
-        raise SchemaError(f"config: cannot read {args.config!r}: {e}")
-    except (json.JSONDecodeError, ValueError) as e:
-        raise SchemaError(f"config: failed to parse: {e}") from None
+    config = _read_object(args.config, "config")
     for field in ("points", "voa", "labels", "D", "P"):
         if field not in config:
             raise SchemaError(f"config: missing field {field!r}")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .core import State, TruncatedModel, TruncationError, mode_apply
 from .finiteness import SubspaceSpec, _graded_spans
-from .linalg import qstr, vec_add_scaled
+from .linalg import SolverEchelon, qstr, vec_add_scaled
 from .virasoro import VerificationError
 
 
@@ -46,11 +46,18 @@ class EvenLattice:
             raise ValueError("lattice is not even: odd diagonal entry")
         self.rank = n
         self.gram = g
-        self.inv = _invert_rational(g)
-        # Positive definiteness via leading principal minors.
-        for k in range(1, n + 1):
-            if _det_rational([row[:k] for row in g[:k]]) <= 0:
+        # Before row k is added, its residual at coordinate k is the k-th leading
+        # principal minor over the one before it, so by Sylvester's criterion the
+        # matrix is positive definite exactly when every such residual is > 0.
+        se = SolverEchelon()
+        for k, row in enumerate(g):
+            vec = {j: Fraction(x) for j, x in enumerate(row) if x}
+            if se.reduce(vec).get(k, 0) <= 0:
                 raise ValueError("Gram matrix is not positive definite")
+            se.add(vec, k)
+        # Row i of the inverse is the x with sum_k x_k (row k) = e_i.
+        self.inv = tuple(tuple(x.get(j, Fraction(0)) for j in range(n))
+                         for x in (se.solve({i: Fraction(1)}) for i in range(n)))
 
     def inner(self, u: Sequence, v: Sequence) -> Fraction:
         """<u|v> for coordinate vectors in the lattice basis."""
@@ -63,46 +70,13 @@ class EvenLattice:
                               Fraction(0))
         return total
 
+    def pairings(self, v: Sequence) -> tuple:
+        """(<α_i|v>)_i for a coordinate vector v in the lattice basis."""
+        return tuple(sum((Fraction(row[j]) * vj for j, vj in enumerate(v) if vj),
+                         Fraction(0)) for row in self.gram)
+
     def halfnorm(self, u: Sequence) -> Fraction:
         return self.inner(u, u) / 2
-
-
-def _det_rational(m) -> Fraction:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
-def _invert_rational(m) -> tuple:
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == r)) for i in range(n)]
-         for r, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular Gram matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
 
 
 def _floor_sqrt(x: Fraction) -> int:
@@ -220,6 +194,8 @@ class FockModel(TruncatedModel):
         self._voa = voa
         if voa is None and not self.is_voa:
             raise ValueError("a module needs an explicit VOA model")
+        if voa is not None and voa.lattice.gram != lat.gram:
+            raise ValueError("module and VOA have different Gram matrices")
         self.vacuum = ((), zero)
         self._zero = zero
         self._halfnorms = dict(grounds)  # gamma -> <mu|mu>/2, mu = lambda + gamma
@@ -300,8 +276,7 @@ class FockModel(TruncatedModel):
             return {(new, gamma): Fraction(1)}
         if n == 0:
             mu = tuple(self.lam_alpha[k] + gamma[k] for k in range(self.lattice.rank))
-            ev = sum((Fraction(self.lattice.gram[i][k]) * mu[k]
-                      for k in range(self.lattice.rank)), Fraction(0))
+            ev = self.lattice.pairings(mu)[i]
             return {label: ev} if ev else {}
         out: State = {}
         for pos, (m, j) in enumerate(heis):
@@ -337,31 +312,23 @@ class FockModel(TruncatedModel):
     def _annihilate(self, heis: tuple, beta: tuple) -> dict:
         """Expansion of exp(-sum_m beta(m) x^{-m} / m) on a Heisenberg monomial.
 
+        Conjugation by the exponential shifts each creation mode alpha_c(-m)
+        by the constant -<beta|alpha_c> x^{-m}, so the monomial becomes a
+        product of binomials: each factor either stays, or is dropped with
+        coefficient -<beta|alpha_c> and x-exponent -m.
+
         Returns (remaining monomial, x-exponent dropped) -> coefficient.
         """
-        lat = self.lattice
-        pair = tuple(lat.inner(beta, tuple(int(k == c) for k in range(lat.rank)))
-                     for c in range(lat.rank))
-        out: dict = {}
-        cur = {(heis, 0): Fraction(1)}
-        j = 0
-        while cur:
-            for k, v in cur.items():
-                out[k] = out.get(k, 0) + v
-            j += 1
+        pair = self.lattice.pairings(beta)
+        out: dict = {((), 0): Fraction(1)}
+        for m, c in heis:
             nxt: dict = {}
-            for (h, q), cf in cur.items():
-                for pos, (m, c) in enumerate(h):
-                    coeff = -pair[c] * cf / j
-                    if coeff:
-                        key = (h[:pos] + h[pos + 1:], q - m)
-                        new = nxt.get(key, 0) + coeff
-                        if new:
-                            nxt[key] = new
-                        else:
-                            nxt.pop(key, None)
-            cur = nxt
-        return {k: v for k, v in out.items() if v}
+            for (h, q), cf in out.items():
+                # Kept factors stay in the monomial's weakly decreasing order.
+                vec_add_scaled(nxt, {(h + ((m, c),), q): Fraction(1),
+                                     (h, q - m): -pair[c]}, cf)
+            out = nxt
+        return out
 
     def _creation(self, beta: tuple, p: int) -> dict:
         """x^p coefficient of exp(sum_m beta(-m) x^m / m) as creation monomials.
@@ -380,15 +347,9 @@ class FockModel(TruncatedModel):
             for m in range(1, p + 1):
                 prev = self._creation(beta, p - m)
                 for c, bc in enumerate(beta):
-                    if not bc:
-                        continue
-                    for mon, cf in prev.items():
-                        new_mon = tuple(sorted(mon + ((m, c),), reverse=True))
-                        val = acc.get(new_mon, 0) + Fraction(bc) * cf
-                        if val:
-                            acc[new_mon] = val
-                        else:
-                            acc.pop(new_mon, None)
+                    if bc:
+                        vec_add_scaled(acc, {tuple(sorted(mon + ((m, c),), reverse=True)): cf
+                                             for mon, cf in prev.items()}, Fraction(bc))
             result = {k: v / p for k, v in acc.items()}
         self._creation_cache[key] = result
         return result
@@ -449,8 +410,7 @@ def gamma_set(gram, lam_dual=None) -> list[tuple]:
     candidates = set()
     for beta in itertools.product(*half):
         gamma = tuple(lam_alpha[i] + beta[i] for i in range(r))
-        if all(abs(lat.inner(gamma, tuple(int(k == i) for k in range(r))))
-               <= lat.gram[i][i] for i in range(r)):
+        if all(abs(x) <= lat.gram[i][i] for i, x in enumerate(lat.pairings(gamma))):
             candidates.add(beta)
     # Exceptional candidates gamma = ±alpha_i (only meaningful when they lie
     # in lambda + L, i.e. lambda ∈ L); never auto-accepted.

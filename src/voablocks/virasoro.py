@@ -184,6 +184,8 @@ class VirasoroModel(TruncatedModel):
         self.params = params or {}
         self.c = Fraction(c)
         self.h = Fraction(h)
+        if voa is not None and voa.central_charge != self.c:
+            raise ValueError(f"central charge {self.c} is not the VOA's {voa.central_charge}")
         self.is_voa = is_voa
         self._voa = voa
         self.vacuum = ()

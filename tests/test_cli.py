@@ -297,3 +297,28 @@ def test_out_and_table_flags(tmp_path, capsys):
     assert "c2_vacuum_bound" in out and "{" not in out.splitlines()[0]
     saved = json.loads(out_path.read_text())
     assert saved["result"]["c2_vacuum_bound"] == 3
+
+
+@pytest.mark.parametrize("gram", ["[[2,2],[2,2]]", "[[2,3],[3,2]]", "[[-2]]",
+                                  "[[0,1],[1,0]]"])
+def test_a_gram_matrix_that_is_not_positive_definite_is_a_schema_error(capsys, gram):
+    assert main(["lattice", "gamma", "--gram", gram]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "schema error: Gram matrix is not positive definite\n"
+
+
+@pytest.mark.parametrize("argv, body, prefix", [
+    (["quotient", "--space", "c2", "--model"], [1, 2], "model"),
+    (["blocks", "dim", "--config"],
+     {"points": ["0"], "voa": [1], "labels": ["vacuum"], "D": 4, "P": 2}, "model"),
+    (["blocks", "dim", "--config"], "points voa labels D P", "config"),
+], ids=["model-list", "config-voa-list", "config-string"])
+def test_a_descriptor_that_is_not_an_object_is_a_schema_error(tmp_path, capsys,
+                                                                argv, body, prefix):
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps(body))
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"schema error: {prefix}: expected an object")

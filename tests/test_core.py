@@ -20,7 +20,7 @@ from voablocks.core import (
     state_sub,
 )
 from voablocks.lattice import heisenberg_model, lattice_model
-from voablocks.virasoro import ising_model, vacuum_voa
+from voablocks.virasoro import irreducible_model, ising_model, vacuum_voa
 
 
 def test_binom_generalized():
@@ -142,3 +142,15 @@ def test_a_voa_model_is_freed_without_the_cycle_collector(build):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("build, message", [
+    # c = -22/5 over the c = 1/2 Ising VOA
+    (lambda: irreducible_model(5, 2, 1, 2, 6, voa=ising_model(6)), "not the VOA's 1/2"),
+    # an A1 module over the VOA of the lattice with Gram matrix [[4]]
+    (lambda: lattice_model([[2]], [1], 4, voa=lattice_model([[4]], cutoff=4)),
+     "different Gram matrices"),
+], ids=["virasoro", "lattice"])
+def test_a_module_over_a_different_voa_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

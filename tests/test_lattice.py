@@ -10,6 +10,7 @@ from voablocks.core import check_identity, mode_apply
 from voablocks.lattice import (
     EvenLattice,
     FockModel,
+    _colored_partitions,
     b1_span_check,
     gamma_set,
     heisenberg_model,
@@ -291,3 +292,34 @@ def _theta_dims(gram, lam_dual, cutoff, box=6):
 def test_lattice_dims_match_theta_series(gram, lam, cutoff):
     model = lattice_model(gram, lam_dual=lam, cutoff=cutoff)
     assert [model.dim(d) for d in range(cutoff + 1)] == _theta_dims(gram, lam, cutoff)
+
+
+def _annihilate_series(lat, heis, beta):
+    """exp(-sum_m beta(m) x^{-m} / m) on a Heisenberg monomial, summed as the
+    exponential series: the j-th term drops j factors, weighted 1/j per step.
+    """
+    pair = tuple(lat.inner(beta, tuple(int(k == c) for k in range(lat.rank)))
+                 for c in range(lat.rank))
+    out: dict = {}
+    cur = {(heis, 0): Fraction(1)}
+    j = 0
+    while cur:
+        for k, v in cur.items():
+            out[k] = out.get(k, 0) + v
+        j += 1
+        nxt: dict = {}
+        for (h, q), cf in cur.items():
+            for pos, (m, c) in enumerate(h):
+                key = (h[:pos] + h[pos + 1:], q - m)
+                nxt[key] = nxt.get(key, 0) - pair[c] * cf / j
+        cur = {k: v for k, v in nxt.items() if v}
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("beta", [(1, 0), (0, 1), (1, 1), (-1, 0), (2, 1)])
+def test_annihilation_product_matches_the_exponential_series(beta):
+    model = lattice_model(A2, cutoff=0)
+    for degree in range(7):
+        for heis in _colored_partitions(degree, 2):
+            assert model._annihilate(heis, beta) == _annihilate_series(
+                model.lattice, heis, beta)

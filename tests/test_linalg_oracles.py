@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voablocks.lattice import EvenLattice
 from voablocks.linalg import Echelon, SolverEchelon, kernel_of
 
 # Small entries with many zeros, so that dependent rows turn up often.
@@ -82,3 +84,28 @@ def test_echelon_rank_is_invariant_under_row_permutation(m, rng, pivot_key):
         forms.append(ech.pivot_rows)
     assert len(forms[0]) == sympy_rank(m)
     assert forms[0] == forms[1] == forms[2]
+
+
+@st.composite
+def symmetric_integer_matrices(draw, max_rank=4):
+    n = draw(st.integers(1, max_rank))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 4))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_integer_matrices())
+def test_even_lattice_accepts_exactly_the_positive_definite_and_inverts_them(m):
+    sm = sympy.Matrix(m)
+    if not sm.is_positive_definite:
+        with pytest.raises(ValueError, match="not positive definite"):
+            EvenLattice(m, require_even=False)
+        return
+    inv = sm.inv()
+    lat = EvenLattice(m, require_even=False)
+    assert [list(row) for row in lat.inv] == [
+        [Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(len(m))]
+        for i in range(len(m))]
