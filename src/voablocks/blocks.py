@@ -94,15 +94,6 @@ class MeromorphicSection:
     def pole_order(self, i: int) -> int:
         return max((m for (j, m) in self.poles if j == i), default=0)
 
-    def to_json(self) -> dict:
-        from .linalg import qstr
-
-        return {
-            "weight": self.weight,
-            "poly": {str(j): qstr(c) for j, c in sorted(self.poly.items())},
-            "poles": {f"{i},{m}": qstr(c) for (i, m), c in sorted(self.poles.items())},
-        }
-
 
 def section_basis(line: PointedLine, d: int,
                   pole_bounds: Sequence[int]) -> list[MeromorphicSection]:
@@ -387,10 +378,9 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     mostly rows of the same degree.
     """
     voa = surface.voa
-    U = r_u = None
+    U = None
     if w_max is None:
         U, w_max, _ = complement_U(voa)
-        r_u = w_max
     h = w_max + P - 1
     d_valid = D - h
     if d_valid < 0:
@@ -446,7 +436,7 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     stabilized = len(est) >= _STABLE_WINDOW and not any(est[-_STABLE_WINDOW:])
     bound, provisional = (0, True)
     if with_bound:
-        bound, provisional = theorem_bound(surface, U, r_u)
+        bound, provisional = theorem_bound(surface, U)
     return CoinvariantReport(
         est, d_valid, sum(est), stabilized, bound, provisional,
         params={"D": D, "P": P, "w_max": w_max,
@@ -454,19 +444,19 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     )
 
 
-def theorem_bound(surface: LabeledLine, U: Sequence[Mapping] | None = None,
-                  r_u: int | None = None) -> tuple[int, bool]:
+def theorem_bound(surface: LabeledLine,
+                  U: Sequence[Mapping] | None = None) -> tuple[int, bool]:
     """Product over slots of the cumulative dims of W^i/C_M(U, W^i).
 
-    U and r_U are those of ``complement_U(surface.voa)``, computed here
-    unless given.  At genus zero M = 1; the bound is provisional unless
-    every factor's quotient report is stabilized.  A module object that
-    fills several slots is reported on once.
+    U is ``complement_U(surface.voa)``'s, computed here unless given.  At
+    genus zero M = 1 for every r_U (``m_constant_and_gaps(0, r_U)``); the
+    bound is provisional unless every factor's quotient report is
+    stabilized.  A module object that fills several slots is reported on
+    once.
     """
-    if U is None or r_u is None:
-        U, r_u, _ = complement_U(surface.voa)
-    M, _ = m_constant_and_gaps(0, max(r_u, 1))
-    spec = SubspaceSpec("cmu", m=M, U=tuple(U))
+    if U is None:
+        U = complement_U(surface.voa)[0]
+    spec = SubspaceSpec("cmu", m=1, U=tuple(U))
     reports: dict = {}
     bound = 1
     provisional = False

@@ -59,24 +59,16 @@ class EvenLattice:
         self.inv = tuple(tuple(x.get(j, Fraction(0)) for j in range(n))
                          for x in (se.solve({i: Fraction(1)}) for i in range(n)))
 
-    def inner(self, u: Sequence, v: Sequence) -> Fraction:
-        """<u|v> for coordinate vectors in the lattice basis."""
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.gram[i]
-            total += ui * sum((Fraction(row[j]) * vj for j, vj in enumerate(v) if vj),
-                              Fraction(0))
-        return total
+    def inner(self, u: Sequence, v: Sequence):
+        """<u|v> for coordinate vectors in the lattice basis (an int for integer vectors)."""
+        return sum(x * p for x, p in zip(u, self.pairings(v)))
 
     def pairings(self, v: Sequence) -> tuple:
         """(<α_i|v>)_i for a coordinate vector v in the lattice basis."""
-        return tuple(sum((Fraction(row[j]) * vj for j, vj in enumerate(v) if vj),
-                         Fraction(0)) for row in self.gram)
+        return tuple(sum(g * x for g, x in zip(row, v)) for row in self.gram)
 
     def halfnorm(self, u: Sequence) -> Fraction:
-        return self.inner(u, u) / 2
+        return Fraction(self.inner(u, u), 2)
 
 
 def _floor_sqrt(x: Fraction) -> int:
@@ -429,12 +421,9 @@ def gamma_set(gram, lam_dual=None) -> list[tuple]:
 
 def _in_phi_gamma(lat: EvenLattice, gamma: tuple) -> bool:
     """Whether <δ|γ-δ> < 0 for every δ ∈ L with δ ∉ {0, γ}."""
-    qg = lat.inner(gamma, gamma)
     zero = (0,) * lat.rank
-    for delta, hn in short_vectors(lat, (Fraction(0),) * lat.rank, qg / 2):
-        if delta == zero:
-            continue
-        if tuple(Fraction(x) for x in delta) == gamma:
+    for delta, hn in short_vectors(lat, zero, lat.halfnorm(gamma)):
+        if delta == zero or delta == gamma:
             continue
         diff = tuple(gamma[i] - delta[i] for i in range(lat.rank))
         if lat.inner(delta, diff) >= 0:

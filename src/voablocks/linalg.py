@@ -57,10 +57,11 @@ class Echelon:
 
     Every row is kept fully reduced: it has coefficient 1 at its own pivot
     and 0 at every other pivot, so ``reduce`` returns the unique residual
-    supported off the pivots.  A new row pivots on its coordinate that is
-    minimal under ``pivot_key`` (default: ``_pivot_key``, the natural order
-    within a key type).  Supports rank queries and residual reduction; used
-    for all greedy span/complement computations.
+    supported off the pivots in one pass.  A new row pivots on its
+    coordinate that is minimal under ``pivot_key`` (default: the keys'
+    natural order, so keys that cannot be compared raise ``TypeError``).
+    Supports rank queries and residual reduction; used for all greedy
+    span/complement computations.
 
     The stored rows depend only on the span and ``pivot_key``, never on the
     order rows were added in: a fully reduced echelon form is unique for its
@@ -72,19 +73,16 @@ class Echelon:
 
     def __init__(self, pivot_key=None):
         self.pivot_rows: dict = {}  # pivot key -> row (dict key->Fraction with row[pivot]=1)
-        self.pivot_key = _pivot_key if pivot_key is None else pivot_key
+        self.pivot_key = pivot_key
 
     def reduce(self, vec: Mapping) -> dict:
+        # Subtracting a row changes no other pivot coordinate, so each pivot
+        # the input holds is cleared by its own coefficient, once.
         v = dict(vec)
-        while True:
-            hit = None
-            for k in v:
-                if k in self.pivot_rows:
-                    hit = k
-                    break
-            if hit is None:
-                return v
-            vec_add_scaled(v, self.pivot_rows[hit], -v[hit])
+        for k, c in vec.items():
+            if k in self.pivot_rows:
+                vec_add_scaled(v, self.pivot_rows[k], -c)
+        return v
 
     def add(self, vec: Mapping) -> bool:
         """Insert vec; returns True if it increased the rank."""
@@ -108,10 +106,6 @@ class Echelon:
         return not self.reduce(vec)
 
 
-def _pivot_key(k):
-    return (repr(type(k)), k) if not isinstance(k, (int, str, tuple)) else (str(type(k)), k)
-
-
 @dataclass(frozen=True)
 class _Expr:
     """Coordinate carrying the expression weight of input ``index`` in a
@@ -122,7 +116,7 @@ class _Expr:
 
 def _solver_pivot_key(k):
     # Expression coordinates sort after every real key, so they never pivot.
-    return (1,) if isinstance(k, _Expr) else (0, _pivot_key(k))
+    return (1,) if isinstance(k, _Expr) else (0, k)
 
 
 class SolverEchelon(Echelon):

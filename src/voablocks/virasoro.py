@@ -162,10 +162,9 @@ def _has_one(part: tuple[int, ...]) -> bool:
 class VirasoroModel(TruncatedModel):
     """M(c,h) or a quotient of it by a submodule generated by singular vectors.
 
-    Basis labels are partitions.  Each level keeps the submodule in reduced
-    row echelon form (``_sub``); the basis (``_basis``) is its non-pivot
-    monomials, and ``_reduce_map`` holds the exact reduction of every
-    partition monomial onto that basis.
+    Basis labels are partitions.  Each level keeps only the submodule in
+    reduced row echelon form (``_sub``); the basis (``_basis``) is its
+    non-pivot monomials, and reducing a state by it projects onto that basis.
     """
 
     def __init__(
@@ -244,30 +243,26 @@ class VirasoroModel(TruncatedModel):
             for vec in sorted(vecs, key=lambda v: min(map(last_first.__getitem__, v)),
                               reverse=True):
                 sub.add(vec)
-        self._basis: dict[int, tuple] = {}
-        self._reduce_map: dict[int, dict] = {}
-        for d, parts in orders.items():
-            sub = self._sub[d]
-            self._basis[d] = tuple(sorted(p for p in parts if p not in sub.pivot_rows))
-            self._reduce_map[d] = {part: sub.reduce({part: Fraction(1)}) for part in parts}
+        self._basis: dict[int, tuple] = {
+            d: tuple(sorted(p for p in parts if p not in self._sub[d].pivot_rows))
+            for d, parts in orders.items()}
 
     def _state_level(self, s: Mapping) -> int | None:
         lvls = {sum(p) for p in s}
         if not lvls:
             return None
         if len(lvls) > 1:
-            raise ValueError("submodule generator is not homogeneous")
+            raise ValueError("state is not homogeneous")
         return lvls.pop()
 
     def reduce_partition_state(self, s: Mapping) -> State:
-        """Project a Verma-coordinates state onto the quotient basis."""
-        out: State = {}
-        for part, cf in s.items():
-            lvl = sum(part)
-            if lvl > self.cutoff:
-                raise TruncationError(f"level {lvl} exceeds cutoff {self.cutoff}")
-            vec_add_scaled(out, self._reduce_map[lvl][part], cf)
-        return out
+        """Project a single-level Verma-coordinates state onto the quotient basis."""
+        lvl = self._state_level(s)
+        if lvl is None:
+            return {}
+        if lvl > self.cutoff:
+            raise TruncationError(f"level {lvl} exceeds cutoff {self.cutoff}")
+        return self._sub[lvl].reduce(s)
 
     # -- TruncatedModel interface ------------------------------------------
     @property

@@ -39,6 +39,33 @@ def test_even_lattice_validation():
     assert lat.halfnorm((1, 1)) == 1
 
 
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+@pytest.mark.parametrize("gram", [A1, A2, A3, D4])
+def test_bilinear_form_matches_the_gram_double_sum(gram):
+    lat = EvenLattice(gram)
+    n = len(gram)
+
+    def form(u, v):
+        return sum((Fraction(gram[i][j]) * u[i] * v[j]
+                    for i in range(n) for j in range(n)), Fraction(0))
+
+    def vector():
+        if rng.random() < 0.5:
+            return tuple(rng.randint(-4, 4) for _ in range(n))
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    for _ in range(50):
+        u, v = vector(), vector()
+        assert lat.inner(u, v) == form(u, v)
+        assert lat.pairings(v) == tuple(form(e, v) for e in units)
+        hn = lat.halfnorm(u)
+        assert isinstance(hn, Fraction) and hn == form(u, u) / 2
+
+
 def test_short_vectors_a1():
     lat = EvenLattice(A1)
     vecs = short_vectors(lat, (Fraction(0),), Fraction(1))
@@ -158,6 +185,34 @@ def test_gamma_set_lambda_half():
     # finite, inside the candidate box
     assert out
     assert all(abs(2 * (Fraction(1, 2) + b[0])) <= 2 for b in out)
+
+
+def _a3_weight(subset, k):
+    """Alpha coordinates of the A3 weight e_S - (k/4)(e_1+...+e_4), |S| = k.
+
+    With alpha_i = e_i - e_{i+1}, coordinate j of a sum-zero vector x is
+    x_1 + ... + x_j.
+    """
+    return tuple(sum(int(i in subset) - Fraction(k, 4) for i in range(1, j + 1))
+                 for j in range(1, 4))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_gamma_set_a3_is_roots_or_minuscule_weights(k):
+    # λ = 0: Γ is 0 and the 12 roots e_i - e_j.  λ = ω_k: Γ is the minimal
+    # vectors of λ + L, the weights of Λ^k C^4, one per k-subset S.
+    lam = _a3_weight(set(range(1, k + 1)), k)
+    if k == 0:
+        expected = {(0, 0, 0)} | {
+            tuple(int(i <= j) - int(i2 <= j) for j in range(1, 4))
+            for i in range(1, 5) for i2 in range(1, 5) if i != i2}
+    else:
+        expected = {_a3_weight(set(S), k)
+                    for S in itertools.combinations(range(1, 5), k)}
+    assert len(expected) == (13, 4, 6, 4)[k]
+    lam_dual = [int(i == k) for i in range(1, 4)]
+    got = {tuple(x + b for x, b in zip(lam, beta)) for beta in gamma_set(A3, lam_dual)}
+    assert got == expected
 
 
 def test_gamma_set_box_bound_random_rank2():

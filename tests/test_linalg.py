@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from voablocks.linalg import (
     Echelon,
     SolverEchelon,
@@ -31,6 +33,12 @@ def test_echelon_rank_and_contains():
     assert ech.rank == 2
     assert ech.contains({"a": Fraction(5), "b": Fraction(-1)})
     assert not ech.contains({"c": Fraction(1)})
+
+
+def test_echelon_keys_that_cannot_be_compared_raise():
+    # Pivots follow the keys' natural order, so mixed key types have none.
+    with pytest.raises(TypeError):
+        Echelon().add({1: Fraction(1), "a": Fraction(1)})
 
 
 def test_solver_echelon_recovers_coefficients():

@@ -86,6 +86,19 @@ def test_echelon_rank_is_invariant_under_row_permutation(m, rng, pivot_key):
     assert forms[0] == forms[1] == forms[2]
 
 
+@small
+@given(matrices(max_rows=6), st.data(), st.sampled_from([None, _reordered]))
+def test_echelon_reduce_leaves_no_pivot_and_removes_a_span_member(m, data, pivot_key):
+    ech = Echelon(pivot_key=pivot_key)
+    for row in m:
+        ech.add(sparse(row))
+    v = data.draw(st.lists(entries, min_size=len(m[0]), max_size=len(m[0])))
+    residual = ech.reduce(sparse(v))
+    assert not set(residual) & set(ech.pivot_rows)
+    removed = [x - residual.get(j, 0) for j, x in enumerate(v)]
+    assert sympy_rank(m + [removed]) == sympy_rank(m)
+
+
 @st.composite
 def symmetric_integer_matrices(draw, max_rank=4):
     n = draw(st.integers(1, max_rank))

@@ -238,15 +238,19 @@ def test_quotient_basis_is_the_non_pivot_monomials(p, q, r, s, cutoff):
         basis = set(m.labels_at(d))
         assert basis.isdisjoint(m._sub[d].pivot_rows)
         assert len(basis) + m._sub[d].rank == len(partitions(d))
-        for b in basis:
-            assert m._reduce_map[d][b] == {b: 1}
-        assert set(m._reduce_map[d]) == set(partitions(d))
-        for image in m._reduce_map[d].values():
+        for part in partitions(d):
+            image = m.reduce_partition_state({part: Fraction(1)})
             assert set(image) <= basis
+            if part in basis:
+                assert image == {part: 1}
         for pivot, row in m._sub[d].pivot_rows.items():
             assert m._sub[d].reduce(row) == {}
             assert max(row, key=order) == pivot and row[pivot] == 1
             assert set(row) - {pivot} <= basis
+    with pytest.raises(ValueError, match="not homogeneous"):
+        m.reduce_partition_state({(2,): Fraction(1), (1, 1, 1): Fraction(1)})
+    with pytest.raises(TruncationError):
+        m.reduce_partition_state({(cutoff + 1,): Fraction(1)})
 
 
 def _closure_pivot_rows(model, gens):
