@@ -318,7 +318,7 @@ class FockModel(TruncatedModel):
             for (h, q), cf in out.items():
                 # Kept factors stay in the monomial's weakly decreasing order.
                 vec_add_scaled(nxt, {(h + ((m, c),), q): Fraction(1),
-                                     (h, q - m): -pair[c]}, cf)
+                                     (h, q - m): Fraction(-pair[c])}, cf)
             out = nxt
         return out
 

@@ -4,6 +4,12 @@ Everything downstream (mode actions, quotient dimensions, section
 expansions) reduces to the primitives here.  All arithmetic is exact:
 scalars are ``fractions.Fraction``, which normalizes eagerly, and the
 elimination routines never introduce approximate entries.
+
+A sparse vector is a dict whose values are always ``Fraction``s, never
+zero; a scaling coefficient may be an int or a ``Fraction``.  Units cost no
+arithmetic: ``vec_add_scaled`` with coefficient 1 or -1 moves or negates
+values instead of multiplying them, and ``Echelon.add`` stores a residual
+whose pivot coefficient is 1 as it is, without dividing it through.
 """
 
 from __future__ import annotations
@@ -38,14 +44,25 @@ def qstr(x: Fraction) -> str:
 SparseVector = dict  # index -> Fraction, no stored zeros
 
 
-def vec_add_scaled(dst: dict, src: Mapping, coeff: Fraction) -> None:
-    """dst += coeff * src, dropping entries that cancel to zero."""
+def vec_add_scaled(dst: dict, src: Mapping, coeff: Fraction | int) -> None:
+    """dst += coeff * src, dropping entries that cancel to zero.
+
+    Values of ``dst`` and ``src`` are always ``Fraction``s; ``coeff`` may be
+    an int or a ``Fraction``.  A coefficient of 1 or -1 skips the
+    multiplication: ``dst`` takes ``src``'s value itself or its negation, or
+    their sum or difference.  A ``Fraction`` is immutable, so the two vectors
+    may share one.  New keys are appended in ``src``'s order.
+    """
     if not coeff:
         return
+    sign = 1 if coeff == 1 else -1 if coeff == -1 else 0
     for k, v in src.items():
-        new = coeff * v
-        if k in dst:
-            new += dst[k]
+        if sign == 1:
+            new = dst[k] + v if k in dst else v
+        elif sign:
+            new = dst[k] - v if k in dst else -v
+        else:
+            new = dst[k] + coeff * v if k in dst else coeff * v
         if new:
             dst[k] = new
         else:
@@ -91,7 +108,8 @@ class Echelon:
             return False
         pivot = min(v, key=self.pivot_key)
         pv = v[pivot]
-        row = {k: c / pv for k, c in v.items()}
+        # A unit pivot needs no division: the residual is already the row.
+        row = v if pv == 1 else {k: c / pv for k, c in v.items()}
         for p, r in self.pivot_rows.items():
             if pivot in r:
                 vec_add_scaled(r, row, -r[pivot])

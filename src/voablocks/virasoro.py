@@ -407,8 +407,9 @@ def feigin_fuchs(r: int, s: int) -> dict[tuple[int, int, int], Fraction]:
                 a = r - 2 * k - 1
                 b = s - 2 * l - 1
                 # x^2 - A^2 y with A^2 = a^2 t - 2ab + b^2 t^{-1}
-                result = _poly_mul(result, {(2, 0, 0): 1, (0, 1, 1): -a * a,
-                                            (0, 1, 0): 2 * a * b, (0, 1, -1): -b * b})
+                result = _poly_mul(result, {(2, 0, 0): Fraction(1), (0, 1, 1): Fraction(-a * a),
+                                            (0, 1, 0): Fraction(2 * a * b),
+                                            (0, 1, -1): Fraction(-b * b)})
     return result
 
 
@@ -418,8 +419,9 @@ def ff_square_product(r: int, s: int) -> dict[tuple[int, int, int], Fraction]:
     for k in range(r):
         for l in range(s):
             # ((r-2k-1) t^{1/2} - (s-2l-1) t^{-1/2})^2, term by power of t
-            sq = {1: (r - 2 * k - 1) ** 2, 0: -2 * (r - 2 * k - 1) * (s - 2 * l - 1),
-                  -1: (s - 2 * l - 1) ** 2}
+            sq = {1: Fraction((r - 2 * k - 1) ** 2),
+                  0: Fraction(-2 * (r - 2 * k - 1) * (s - 2 * l - 1)),
+                  -1: Fraction((s - 2 * l - 1) ** 2)}
             factor = {(2, 0, 0): Fraction(1)}
             vec_add_scaled(factor, {(0, 1, e): v for e, v in sq.items()}, Fraction(-1))
             result = _poly_mul(result, factor)

@@ -5,6 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from voablocks import blocks
+from voablocks.blocks import LabeledLine, PointedLine, bracket_closure_check, section_basis
+from voablocks.core import mode_apply, quasi_primary_space
+from voablocks.lattice import lattice_model
 from voablocks.linalg import (
     Echelon,
     SolverEchelon,
@@ -12,6 +16,7 @@ from voablocks.linalg import (
     qparse,
     qstr,
 )
+from voablocks.virasoro import feigin_fuchs, ff_square_product
 
 
 def test_qparse_qstr_roundtrip():
@@ -102,3 +107,47 @@ def test_per_degree_echelon_rank():
         echelons[d].add(vec)
     assert [dim - e.rank for dim, e in zip(ambient_dims, echelons)] == [0, 2, 2]
 
+
+def _all_fractions(vec) -> bool:
+    return all(type(v) is Fraction for v in vec.values())
+
+
+def test_values_stay_fractions_where_integers_are_produced(monkeypatch):
+    # A coefficient of +-1 copies values instead of multiplying them, so an
+    # integer fed to vec_add_scaled would stay an integer; these are the
+    # places that build vectors from integer arithmetic.
+    assert _all_fractions(feigin_fuchs(2, 2))
+    assert _all_fractions(ff_square_product(2, 2))
+
+    a1 = lattice_model([[2]], cutoff=6)
+    # -e^{-alpha}, so that the -1 coefficient path runs too
+    e_plus, e_minus = {((), (1,)): Fraction(1)}, {((), (-1,)): Fraction(-1)}
+    images = 0
+    for a in (e_plus, e_minus):
+        for d in range(4):
+            for lab in a1.labels_at(d):
+                for n in range(-2, 2):
+                    out = mode_apply(a1, a, n, {lab: Fraction(1)})
+                    assert _all_fractions(out), (a, n, lab)
+                    images += bool(out)
+    assert images > 0
+    # The e-mode's annihilation expansion meets integer pairings; its terms
+    # are multiplied by Fractions before they reach mode_apply's output.
+    for lab in a1.labels_at(3):
+        for beta in ((1,), (-1,)):
+            assert _all_fractions(a1._annihilate(lab[0], beta)), (lab, beta)
+
+    echelons = []
+
+    class RecordingEchelon(Echelon):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            echelons.append(self)
+
+    monkeypatch.setattr(blocks, "Echelon", RecordingEchelon)
+    line = PointedLine((0, 1))
+    f, g = section_basis(line, 1, [1, 1])[:2]
+    e_minus_1, e_plus_1, _ = quasi_primary_space(a1, 1)
+    assert bracket_closure_check(LabeledLine(line, [a1, a1]), (e_plus_1, f), (e_minus_1, g))
+    rows = [row for ech in echelons for row in ech.pivot_rows.values()]
+    assert rows and all(_all_fractions(row) for row in rows)

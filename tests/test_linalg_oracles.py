@@ -1,14 +1,15 @@
-"""Elimination checked against sympy, which shares no code with ``linalg``."""
+"""Elimination checked against sympy, and the sparse add against a plain dict
+reference; neither shares code with ``linalg``."""
 
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voablocks.lattice import EvenLattice
-from voablocks.linalg import Echelon, SolverEchelon, kernel_of
+from voablocks.linalg import Echelon, SolverEchelon, kernel_of, vec_add_scaled
 
 # Small entries with many zeros, so that dependent rows turn up often.
 entries = st.one_of(st.just(Fraction(0)),
@@ -26,9 +27,13 @@ def sparse(row) -> dict:
     return {j: v for j, v in enumerate(row) if v}
 
 
-def sympy_rank(rows) -> int:
+def to_sympy(rows) -> sympy.Matrix:
     return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
-                         for row in rows]).rank() if rows else 0
+                         for row in rows])
+
+
+def sympy_rank(rows) -> int:
+    return to_sympy(rows).rank() if rows else 0
 
 
 small = settings(max_examples=40, deadline=None)
@@ -97,6 +102,62 @@ def test_echelon_reduce_leaves_no_pivot_and_removes_a_span_member(m, data, pivot
     assert not set(residual) & set(ech.pivot_rows)
     removed = [x - residual.get(j, 0) for j, x in enumerate(v)]
     assert sympy_rank(m + [removed]) == sympy_rank(m)
+
+
+# Entries of +-1 are common, so that both unit and non-unit pivots turn up.
+unit_heavy = st.one_of(st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@small
+@given(st.lists(st.lists(unit_heavy, min_size=5, max_size=5), min_size=1, max_size=6))
+@example([[Fraction(1), Fraction(2), Fraction(0), Fraction(0), Fraction(0)],
+          [Fraction(0), Fraction(3), Fraction(1), Fraction(0), Fraction(0)]])
+@example([[Fraction(2), Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
+          [Fraction(0), Fraction(1), Fraction(-1), Fraction(0), Fraction(0)]])
+def test_echelon_rows_equal_sympy_rref_rows(m):
+    # Under the default pivot order the pivot of a row is its least column,
+    # as in sympy's rref, so the stored rows are exactly rref's nonzero rows.
+    ech = Echelon()
+    for row in m:
+        ech.add(sparse(row))
+    rref, pivots = to_sympy(m).rref()
+    expected = {p: {j: Fraction(int(x.p), int(x.q)) for j, x in enumerate(rref.row(i)) if x}
+                for i, p in enumerate(pivots)}
+    assert ech.pivot_rows == expected
+    assert all(type(v) is Fraction for row in ech.pivot_rows.values() for v in row.values())
+
+
+def reference_add_scaled(dst: dict, src: dict, coeff) -> dict:
+    """dst + coeff * src as a new dict: dst's surviving keys in their order,
+    then src's new keys in src's order, zeros left out."""
+    total = dict(dst)
+    for k, v in src.items():
+        total[k] = total[k] + coeff * v if k in total else coeff * v
+    return {k: v for k, v in total.items() if v != 0}
+
+
+# Few keys and small values, so that overlaps and cancellations are common.
+small_vectors = st.dictionaries(
+    st.integers(0, 7), st.fractions(min_value=-2, max_value=2, max_denominator=2))
+coefficients = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_vectors, small_vectors, coefficients)
+def test_vec_add_scaled_matches_dict_reference(dst, src, coeff):
+    dst = {k: v for k, v in dst.items() if v}  # a vector stores no zeros
+    expected = reference_add_scaled(dst, src, coeff)
+    src_before = list(src.items())
+    vec_add_scaled(dst, src, coeff)
+    assert dst == expected
+    assert list(dst) == list(expected)  # surviving keys keep their order
+    assert all(v != 0 for v in dst.values())
+    assert all(type(v) is Fraction for v in dst.values())
+    assert list(src.items()) == src_before
 
 
 @st.composite
