@@ -168,11 +168,6 @@ def _graded_tensors(surface: LabeledLine, max_degree: int) -> list[tuple]:
     return out
 
 
-def pure_tensors(surface: LabeledLine, max_degree: int) -> list[tuple]:
-    """All pure tensor labels with total degree <= max_degree."""
-    return [labs for labs, _ in _graded_tensors(surface, max_degree)]
-
-
 def _labels_upto(mod: TruncatedModel, degree: int) -> list:
     return [lab for d in range(degree + 1) for lab in mod.labels_at(d)]
 
@@ -252,14 +247,31 @@ def _compose(outer: dict, inner: dict) -> dict:
     return out
 
 
-def _operator_matrix(mats: Sequence[dict], domain: list[tuple]) -> dict:
-    """{(tensor, image tensor): coefficient} of the sum over slots of mats."""
-    return {(labs, out_labs): c for labs in domain
-            for out_labs, c in _tensor_image(mats, labs).items()}
+def _slot_coordinates(mats: Sequence[dict], dom_labels: Sequence[list]) -> dict:
+    """Coordinates that vanish iff T = sum over slots of A_i = mats[i] does on
+    the pure tensors of degree <= d_dom; dom_labels[i] is slot i's labels of
+    degree <= d_dom, a degree-0 label v_i first.
+
+    An image tensor that differs from its source in slot i alone comes from
+    A_i alone, so each off-diagonal entry (i, l, l') must vanish.  With every
+    other slot at its v_j, the diagonal of T is a sum of a_i(l) = A_i[l <- l]
+    that vanishes iff each a_i is constant and the constants sum to 0: the
+    coordinates a_i(l) - a_i(v_i) at (i, l, l) and sum_i a_i(v_i) at ().
+    """
+    base = [mat[labs[0]].get(labs[0], 0) for mat, labs in zip(mats, dom_labels)]
+    total = sum(base)
+    out: dict = {(): total} if total else {}
+    for i, (mat, labs) in enumerate(zip(mats, dom_labels)):
+        for lab in labs:
+            out.update(((i, lab, lab2), c) for lab2, c in mat[lab].items() if lab2 != lab)
+            diff = mat[lab].get(lab, 0) - base[i]
+            if diff:
+                out[(i, lab, lab)] = diff
+    return out
 
 
 def _bracket_matrix(surface: LabeledLine, op1: tuple, op2: tuple):
-    """(domain, per-slot domain labels, matrix of [op1, op2] on the domain).
+    """(per-slot domain labels, per-slot commutators [A_i, B_i] on them).
 
     The domain is every pure tensor of degree <= d_dom, the largest degree
     from which both orders of composition stay within every cutoff.  Slots
@@ -278,6 +290,8 @@ def _bracket_matrix(surface: LabeledLine, op1: tuple, op2: tuple):
     d_dom = min_cut - raise_total
     if d_dom < 0:
         raise TruncationError("module cutoffs too small for the bracket domain")
+    if not all(m.labels_at(0) for m in surface.modules):
+        raise ValueError("bracket closure needs a degree-0 label in every module")
     dom_labels = [_labels_upto(m, d_dom) for m in surface.modules]
 
     # Each slot map also acts on the other's images, which climb by at most
@@ -294,8 +308,7 @@ def _bracket_matrix(surface: LabeledLine, op1: tuple, op2: tuple):
         for lab, img in _compose(B_i, {lab: A_i[lab] for lab in labs}).items():
             vec_add_scaled(c_i[lab], img, Fraction(-1))
         comm.append(c_i)
-    domain = pure_tensors(surface, d_dom)
-    return domain, dom_labels, _operator_matrix(comm, domain)
+    return dom_labels, comm
 
 
 def bracket_closure_check(surface: LabeledLine, op1: tuple, op2: tuple) -> bool:
@@ -305,8 +318,14 @@ def bracket_closure_check(surface: LabeledLine, op1: tuple, op2: tuple) -> bool:
     The candidate family covers weights up to wt a + wt b - 1 with pole
     bounds ord_i f + ord_i g + (wt a + wt b - 1 - wt c), which is where the
     bracket's section data can live.
+
+    Each operator is a sum over slots of single-module maps A_i; it vanishes
+    iff every off-diagonal entry of each A_i does and each a_i(l) = A_i[l <- l]
+    is constant, the constants summing to 0.  Elimination runs on these
+    coordinates, with the pure-tensor matrices' kernel, ranks and verdicts.
     """
-    domain, dom_labels, target = _bracket_matrix(surface, op1, op2)
+    dom_labels, comm = _bracket_matrix(surface, op1, op2)
+    target = _slot_coordinates(comm, dom_labels)
     if not target:
         return True
     (a, f), (b, g) = op1, op2
@@ -322,10 +341,10 @@ def bracket_closure_check(surface: LabeledLine, op1: tuple, op2: tuple) -> bool:
         sections = section_basis(surface.line, dc, bounds)
         for c_state in cands:
             for h in sections:
-                mat = _operator_matrix(
-                    slot_matrices(surface, c_state, h, dom_labels), domain)
-                if mat:
-                    ech.add(mat)
+                coords = _slot_coordinates(
+                    slot_matrices(surface, c_state, h, dom_labels), dom_labels)
+                if coords:
+                    ech.add(coords)
     return ech.contains(target)
 
 

@@ -107,7 +107,7 @@ class Echelon:
         if not v:
             return False
         pivot = min(v, key=self.pivot_key)
-        pv = v[pivot]
+        pv = Fraction(v[pivot])  # so that int input divides exactly too
         # A unit pivot needs no division: the residual is already the row.
         row = v if pv == 1 else {k: c / pv for k, c in v.items()}
         for p, r in self.pivot_rows.items():

@@ -1,12 +1,16 @@
 """Tests for sections on the pointed line and coinvariant estimation."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from voablocks.blocks import (
     _bracket_matrix,
+    _graded_tensors,
+    _slot_coordinates,
     LabeledLine,
     MeromorphicSection,
     PointedLine,
@@ -14,14 +18,15 @@ from voablocks.blocks import (
     coinvariant_report,
     laurent_expand,
     m_constant_and_gaps,
-    pure_tensors,
     qgvo_apply,
+    slot_matrices,
     rr_h0,
     section_basis,
     theorem_bound,
 )
 from voablocks.core import TruncationError, mode_apply, quasi_primary_space
 from voablocks.lattice import lattice_model
+from voablocks.linalg import Echelon
 from voablocks.virasoro import irreducible_model, ising_model
 
 
@@ -167,15 +172,50 @@ def _ising_three_point():
     return LabeledLine(line, [sigma, eps, voa]), [((OMEGA, f), (OMEGA, g))]
 
 
+def _a1_module_two_point():
+    voa = lattice_model([[2]], cutoff=6)
+    omega1 = lattice_model([[2]], [1], cutoff=6, voa=voa)  # two degree-0 labels
+    line = PointedLine((0, 1))
+    states = quasi_primary_space(voa, 1)
+    sections = section_basis(line, 1, [1, 1])
+    ops = [(a, f) for a in states for f in sections]
+    return LabeledLine(line, [omega1, voa]), [(ops[1], ops[5])]
+
+
+def _domain(surface, dom_labels):
+    """The bracket's domain, rebuilt from the per-slot labels: every pure
+    tensor of total degree <= d_dom, where dom_labels[i] is module i's
+    labels of degree <= d_dom."""
+    mods = surface.modules
+    d_dom = max(m.degree_of(lab) for m, labs in zip(mods, dom_labels) for lab in labs)
+    for m, labs in zip(mods, dom_labels):
+        assert labs == [lab for d in range(d_dom + 1) for lab in m.labels_at(d)]
+    return [labs for labs in itertools.product(*dom_labels)
+            if sum(m.degree_of(lab) for m, lab in zip(mods, labs)) <= d_dom]
+
+
+def _tensor_matrix(mats, domain):
+    """{(tensor, image tensor): coefficient} of the sum over slots of mats,
+    one tensor at a time."""
+    out = {}
+    for labs in domain:
+        for i, mat in enumerate(mats):
+            for lab2, c in mat[labs[i]].items():
+                key = (labs, labs[:i] + (lab2,) + labs[i + 1:])
+                out[key] = out.get(key, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
 @pytest.mark.parametrize("build", [_ising_two_point, _a1_two_point,
-                                   _ising_three_point])
+                                   _ising_three_point, _a1_module_two_point])
 def test_slot_maps_match_per_tensor_oracle(build):
     surface, pairs = build()
     for op1, op2 in pairs:
-        domain, _, matrix = _bracket_matrix(surface, op1, op2)
+        dom_labels, comm = _bracket_matrix(surface, op1, op2)
+        domain = _domain(surface, dom_labels)
         assert domain
         got: dict = {}
-        for (labs, out_labs), c in matrix.items():
+        for (labs, out_labs), c in _tensor_matrix(comm, domain).items():
             got.setdefault(labs, {})[out_labs] = c
         for labs in domain:
             w = {labs: Fraction(1)}
@@ -183,6 +223,76 @@ def test_slot_maps_match_per_tensor_oracle(build):
                 assert qgvo_apply(surface, a, f, w) == _brute_qgvo(surface, a, f, w)
             assert got.get(labs, {}) == _brute_bracket(surface, op1, op2, w)
         assert bracket_closure_check(surface, op1, op2)
+
+
+def _candidate_family(surface, op1, op2, dom_labels):
+    """Slot maps of the candidates bracket_closure_check spans."""
+    (a, f), (b, g) = op1, op2
+    wa, wb = int(surface.voa.state_weight(a)), int(surface.voa.state_weight(b))
+    n = len(surface.line.points)
+    return [slot_matrices(surface, c, h, dom_labels)
+            for dc in range(1, wa + wb)
+            for c in quasi_primary_space(surface.voa, dc)
+            for h in section_basis(surface.line, dc, [
+                f.pole_order(i) + g.pole_order(i) + (wa + wb - 1 - dc)
+                for i in range(n)])]
+
+
+def _shifted(mats, shifts):
+    """mats[i] + shifts[i] * Id on each listed label of slot i."""
+    out = [{lab: dict(img) for lab, img in mat.items()} for mat in mats]
+    for i, (lab_list, c) in shifts.items():
+        for lab in lab_list:
+            out[i][lab][lab] = out[i][lab].get(lab, 0) + c
+            if not out[i][lab][lab]:
+                del out[i][lab][lab]
+    return out
+
+
+def _gram(rows):
+    """R R^T for sparse rows R.  Over the rationals a set of rows has the
+    rank of its Gram submatrix, which is small."""
+    return [[sum((r[k] * s[k] for k in r if k in s), Fraction(0)) for s in rows]
+            for r in rows]
+
+
+def _rank(gram, idx):
+    return sympy.Matrix([[gram[i][j] for j in idx] for i in idx]).rank() if idx else 0
+
+
+@pytest.mark.parametrize("build", [_ising_two_point, _ising_three_point,
+                                   _a1_module_two_point])
+def test_slot_coordinates_decide_membership_as_the_tensor_matrix(build):
+    surface, pairs = build()
+    op1, op2 = pairs[0]
+    dom_labels, comm = _bracket_matrix(surface, op1, op2)
+    domain = _domain(surface, dom_labels)
+    c = Fraction(3, 7)
+    targets = {
+        "bracket": (comm, True),
+        # c Id on slot 0 and -c Id on slot 1 add up to the zero operator.
+        "balanced shift": (_shifted(comm, {0: (dom_labels[0], c),
+                                           1: (dom_labels[1], -c)}), True),
+        # T + c Id: only the sum of the a_i(v_i) moves.
+        "scalar shift": (_shifted(comm, {0: (dom_labels[0], c)}), False),
+        # One diagonal entry above v_0: only a_0(l) - a_0(v_0) moves.
+        "diagonal bump": (_shifted(comm, {0: (dom_labels[0][-1:], c)}), False),
+    }
+    full = _candidate_family(surface, op1, op2, dom_labels)
+    n = len(full)
+    gram = _gram([_tensor_matrix(mats, domain)
+                  for mats in full + [mats for mats, _ in targets.values()]])
+    for part in (range(n), range(1, n), range(n - 1)):
+        ech = Echelon()
+        for i in part:
+            ech.add(_slot_coordinates(full[i], dom_labels))
+        base_rank = _rank(gram, list(part))
+        assert ech.rank == base_rank
+        for t, (name, (mats, expect)) in enumerate(targets.items(), start=n):
+            in_tensor = _rank(gram, [*part, t]) == base_rank
+            assert ech.contains(_slot_coordinates(mats, dom_labels)) == in_tensor, name
+            if len(part) == n:
+                assert in_tensor == expect, name
 
 
 def test_bracket_errors_unchanged():
@@ -205,7 +315,7 @@ def test_bracket_errors_unchanged():
 
 def test_pure_tensors_enumeration():
     surface, voa = one_point_ising(6)
-    labs = pure_tensors(surface, 3)
+    labs = _graded_tensors(surface, 3)
     # Ising vacuum dims 1,0,1,1 through degree 3
     assert len(labs) == 3
 
@@ -233,7 +343,7 @@ def _plain_graded_ranks(surface, D, P, w_max):
     for da in range(1, w_max + 1):
         for a in quasi_primary_space(surface.voa, da):
             for f in section_basis(surface.line, da, [P] * len(mods)):
-                for labs in pure_tensors(surface, d_valid):
+                for labs, _ in _graded_tensors(surface, d_valid):
                     row = qgvo_apply(surface, a, f, {labs: Fraction(1)})
                     while row:
                         lead = leading(row)
@@ -250,8 +360,8 @@ def _plain_graded_ranks(surface, D, P, w_max):
     for lead in pivots:
         killed[degree(lead)] += 1
     dims = [0] * (d_valid + 1)
-    for labs in pure_tensors(surface, d_valid):
-        dims[degree(labs)] += 1
+    for _, d in _graded_tensors(surface, d_valid):
+        dims[d] += 1
     return [dims[p] - killed[p] for p in range(d_valid + 1)]
 
 

@@ -1,9 +1,12 @@
 """Mode-generated subspaces, quotient reports, spanning sets, certificates."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from voablocks.core import mode_apply, quasi_primary_space
 from voablocks.finiteness import (
@@ -183,6 +186,35 @@ def test_certificate_randomized_ising():
         w = m.basis_state(rng.choice(m.labels_at(rng.choice([0, 2]))))
         cert = reduce_certificate(m, m.basis_state(alab), q, w, U, m=2)
         assert cert.verify(m)
+
+
+@functools.cache
+def _ising_12_and_u():
+    voa = ising_model(cutoff=12)
+    return voa, complement_U(voa)[0]
+
+
+def _draw_state(data, labels):
+    coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                                min_size=len(labels), max_size=len(labels)))
+    state = {lab: c for lab, c in zip(labels, coeffs) if c}
+    assume(state)
+    return state
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2), st.sampled_from([0, 2, 3]), st.data())
+def test_certificate_replay_is_exact(deg_a, dq, deg_w, data):
+    # Criterion 7's range (m = 2, q from m wt a to m wt a + 2), at cutoff 12,
+    # with a and w any homogeneous states of their degrees.
+    voa, U = _ising_12_and_u()
+    m, q = 2, 2 * deg_a + dq
+    assume(deg_a + q - 1 + deg_w <= voa.cutoff)
+    a = _draw_state(data, voa.labels_at(deg_a))
+    w = _draw_state(data, voa.labels_at(deg_w))
+    cert = reduce_certificate(voa, a, q, w, U, m)
+    assert cert.replay(voa) == mode_apply(voa, a, -q, w)
+    assert all(n >= m for _, n, _, _ in cert.entries)
 
 
 def test_certificate_precondition():

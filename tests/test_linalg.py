@@ -46,6 +46,22 @@ def test_echelon_keys_that_cannot_be_compared_raise():
         Echelon().add({1: Fraction(1), "a": Fraction(1)})
 
 
+def test_int_input_is_stored_exactly():
+    # The pivot division must stay exact: 1/2 as a Fraction, never 0.5.
+    ech = Echelon()
+    ech.add({0: 2, 1: 1})
+    assert ech.pivot_rows == {0: {0: 1, 1: Fraction(1, 2)}}
+    ech.add({1: 3, 2: 4})
+    ech.add({0: 1, 2: 6, 3: 7})
+    sol = SolverEchelon()
+    for i, row in enumerate(({0: 2, 1: 1}, {1: 3, 2: 4}, {0: 5, 2: 6, 3: 7})):
+        sol.add(row, i)
+    assert sol.solve({0: 2, 1: 4, 2: 4}) == {0: 1, 1: 1}
+    for e in (ech, sol):
+        values = [v for row in e.pivot_rows.values() for v in row.values()]
+        assert values and not any(isinstance(v, float) for v in values)
+
+
 def test_solver_echelon_recovers_coefficients():
     rng = random.Random(20240822)
     for _ in range(20):
