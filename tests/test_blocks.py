@@ -19,9 +19,9 @@ from voablocks.blocks import (
     laurent_expand,
     m_constant_and_gaps,
     qgvo_apply,
-    slot_matrices,
     rr_h0,
     section_basis,
+    slot_matrices,
     theorem_bound,
 )
 from voablocks.core import TruncationError, mode_apply, quasi_primary_space
@@ -257,7 +257,7 @@ def _gram(rows):
 
 
 def _rank(gram, idx):
-    return sympy.Matrix([[gram[i][j] for j in idx] for i in idx]).rank() if idx else 0
+    return sympy.Matrix([[gram[i][j] for j in idx] for i in idx]).rank()
 
 
 @pytest.mark.parametrize("build", [_ising_two_point, _ising_three_point,
@@ -311,6 +311,18 @@ def test_bracket_errors_unchanged():
     f1 = MeromorphicSection(1, poles={(0, 1): Fraction(1)})
     with pytest.raises(ValueError, match="does not match"):
         bracket_closure_check(two, (OMEGA, g), (OMEGA, f1))
+
+
+def test_bracket_closure_needs_a_degree_0_label(monkeypatch):
+    voa = ising_model(10)
+    sigma = irreducible_model(4, 3, 2, 2, 10, voa=voa)
+    labels_at = sigma.labels_at
+    monkeypatch.setattr(sigma, "labels_at", lambda d: labels_at(d) if d else ())
+    line = PointedLine((0, 1))
+    f = MeromorphicSection(2, poles={(0, 1): Fraction(1)})
+    g = MeromorphicSection(2, poles={(1, 1): Fraction(1)})
+    with pytest.raises(ValueError, match="degree-0 label"):
+        bracket_closure_check(LabeledLine(line, [sigma, voa]), (OMEGA, f), (OMEGA, g))
 
 
 def test_pure_tensors_enumeration():
