@@ -410,10 +410,7 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     graded = _graded_tensors(surface, d_valid)
     source_labels = [_labels_upto(m, d_valid) for m in surface.modules]
     # A relation from a source of degree <= d_valid stays within degree D.
-    # Its label degrees are read from this table, not degree_of, which does
-    # Fraction arithmetic on every call.
-    degree = [{lab: d for d in range(D + 1) for lab in m.labels_at(d)}
-              for m in surface.modules]
+    degree = [m.degrees for m in surface.modules]
     ops = [slot_matrices(surface, a, f, source_labels)
            for da in range(1, w_max + 1)
            for a in quasi_primary_space(voa, da)

@@ -23,6 +23,10 @@ class TruncationError(RuntimeError):
     """An exact answer would require weights above the model cutoff."""
 
 
+class VerificationError(RuntimeError):
+    """An exact cross-check that must hold for correct code has failed."""
+
+
 def state_add(*states: Mapping) -> State:
     out: State = {}
     for s in states:
@@ -60,10 +64,11 @@ def _finite_floor(x) -> int:
 class TruncatedModel(ABC):
     """A concrete graded model with an exact mode-action rule.
 
-    Subclasses provide the basis enumeration, the decomposition of a basis
-    label into generator(-n) * rest, and the primitive generator modes.
-    Weights are exact rationals; within one model all weights are congruent
-    modulo 1, so degrees (weight - lowest weight) are nonnegative integers.
+    Subclasses fix the graded basis once through ``_set_basis`` and provide
+    the decomposition of a basis label into generator(-n) * rest and the
+    primitive generator modes.  Weights are exact rationals; within one
+    model all weights are congruent modulo 1, so degrees (weight - lowest
+    weight) are nonnegative integers.
     """
 
     kind: str = "abstract"
@@ -78,6 +83,7 @@ class TruncatedModel(ABC):
     _voa: "TruncatedModel | None" = None  # the acting VOA; None for VOA models
     is_voa: bool = False
     vacuum: Hashable = None  # vacuum label (VOA models)
+    degrees: dict  # basis label -> degree, filled by _set_basis
 
     @property
     def voa(self) -> "TruncatedModel":
@@ -92,9 +98,14 @@ class TruncatedModel(ABC):
     def omega(self) -> State:
         raise NotImplementedError
 
-    @abstractmethod
+    def _set_basis(self, labels: Mapping[int, list]) -> None:
+        """Fix the basis: labels[d] are the canonical labels of degree d."""
+        self._labels = {d: tuple(labels[d]) for d in range(self.cutoff + 1)}
+        self.degrees = {lab: d for d, labs in self._labels.items() for lab in labs}
+
     def labels_at(self, degree: int) -> tuple:
         """Canonical basis labels at the given integer degree (0-based)."""
+        return self._labels.get(degree, ())
 
     @abstractmethod
     def weight_of(self, label) -> Fraction:
@@ -118,10 +129,10 @@ class TruncatedModel(ABC):
 
     # -- derived helpers ---------------------------------------------------
     def degree_of(self, label) -> int:
-        d = self.weight_of(label) - self.lowest_weight
-        if d.denominator != 1:
-            raise ValueError(f"non-integral degree for label {label!r}")
-        return int(d)
+        try:
+            return self.degrees[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not a basis label of the model") from None
 
     def dim(self, degree: int) -> int:
         return len(self.labels_at(degree))

@@ -15,12 +15,12 @@ from typing import Iterable, Mapping, Sequence
 from .core import (
     State,
     TruncatedModel,
+    VerificationError,
     binom,
     mode_apply,
     quasi_primary_space,
 )
 from .linalg import Echelon, SolverEchelon, vec_add_scaled
-from .virasoro import VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -32,27 +32,22 @@ class SubspaceSpec:
     """Which mode-generated subspace of a module to span.
 
     kind "cn": span of a(-n)w over all VOA a;  kind "b1": span of a(-1)w
-    with wt a > 0;  kind "cmu": span of a(-k)w over a in U, k >= m;
-    kind "cmq": span of (strictly-decreasing U-monomial)(-p)w with modes
-    <= m and p >= q.
+    with wt a > 0;  kind "cmu": span of a(-k)w over a in U, k >= m.
     """
 
     kind: str
     n: int = 2
     m: int = 1
-    q: int = 1
     U: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("cn", "b1", "cmu", "cmq"):
+        if self.kind not in ("cn", "b1", "cmu"):
             raise ValueError(f"unknown subspace kind {self.kind!r}")
         if self.kind == "cn" and self.n < 2:
             raise ValueError("cn requires n >= 2")
-        if self.kind in ("cmu", "cmq") and self.m < 1:
+        if self.kind == "cmu" and self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.kind == "cmq" and self.q < 1:
-            raise ValueError("q must be >= 1")
-        if self.kind in ("cmu", "cmq") and not self.U:
+        if self.kind == "cmu" and not self.U:
             raise ValueError("generator set U required")
 
 
@@ -110,10 +105,6 @@ def complement_U(model: TruncatedModel) -> tuple[list[State], int, int]:
 # Degreewise spans
 
 
-def _state_max_weight(model: TruncatedModel, s: Mapping) -> Fraction | None:
-    return max((model.weight_of(k) for k in s), default=None)
-
-
 def _span_terms(module: TruncatedModel, spec: SubspaceSpec):
     """Recipes (d, a_state, n, wlab) of the generators a(-n)wlab of the span.
 
@@ -145,20 +136,13 @@ def _span_terms(module: TruncatedModel, spec: SubspaceSpec):
         for wa in range(1, cutoff + 1):
             for alab in voa.labels_at(wa):
                 yield from terms({alab: Fraction(1)}, 1)
-    elif spec.kind == "cmu":
+    else:  # cmu
         for u in spec.U:
             wt = voa.state_weight(u)
             if wt is None or wt == 0:
                 continue  # vacuum excluded
             for n in range(spec.m, cutoff + 2 - int(wt)):
                 yield from terms(u, n)
-    else:  # cmq
-        for mono in _decreasing_monomials(voa, spec.U, spec.m, cutoff):
-            wt = voa.state_weight(mono)
-            if wt is None or wt == 0:
-                continue
-            for p in range(spec.q, cutoff + 2 - int(wt)):
-                yield from terms(mono, p)
 
 
 def _graded_spans(module: TruncatedModel, spec: SubspaceSpec | None,
@@ -193,9 +177,9 @@ def subspace_span(module: TruncatedModel, spec: SubspaceSpec) -> list[tuple[int,
     return out
 
 
-def _decreasing_monomials(voa: TruncatedModel, U: Sequence[Mapping], m: int,
+def _decreasing_monomials(voa: TruncatedModel, U: Sequence[Mapping],
                           cutoff: int) -> list[State]:
-    """Nonempty u1(-n1)...uk(-nk)1 with m >= n1 > ... > nk > 0, ui in U."""
+    """Nonempty u1(-n1)...uk(-nk)1 with n1 > ... > nk > 0, ui in U, up to cutoff."""
     pos = [u for u in U if voa.state_weight(u) and voa.state_weight(u) > 0]
     out: list[State] = []
 
@@ -204,7 +188,7 @@ def _decreasing_monomials(voa: TruncatedModel, U: Sequence[Mapping], m: int,
     def rec(state: State, n_min: int, weight: int) -> None:
         if weight > 0:
             out.append(state)
-        for n in range(n_min, m + 1):
+        for n in range(n_min, cutoff + 2):
             for u in pos:
                 wu = int(voa.state_weight(u))
                 new_wt = weight + wu + n - 1
@@ -239,7 +223,7 @@ def spanning_set_check(model: TruncatedModel, U: Sequence[Mapping]) -> list[bool
     """Degreewise: do strictly-decreasing-mode U-monomials span V?"""
     if not model.is_voa:
         raise ValueError("spanning_set_check expects a VOA model")
-    monos = _decreasing_monomials(model, U, model.cutoff + 1, model.cutoff)
+    monos = _decreasing_monomials(model, U, model.cutoff)
     seeds = [(0, {model.vacuum: Fraction(1)})]
     seeds += [(int(model.state_weight(s)), s) for s in monos]
     spans = _graded_spans(model, None, seeds)
@@ -336,11 +320,9 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
     every recursive call strictly decreases wt a.
     """
     voa = module.voa
-    for name, model, state in (("a", voa, a), ("w", module, w)):
+    for model, state in ((voa, a), (module, w)):
         for lab in state:
-            if lab not in model.labels_at(model.degree_of(lab)):
-                raise ValueError(f"{name} holds {lab!r}, which is not a basis "
-                                 f"label of the model")
+            model.degree_of(lab)  # raises ValueError on a non-basis label
     cert = ReductionCertificate(dict(a), q, dict(w), m)
     dec = _UDecomposer(voa, U)
 
@@ -367,14 +349,14 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
             c = {clab: Fraction(1)}
             wt_b = int(voa.state_weight(b))
             wt_c = int(voa.state_weight(c))
-            w_top = _state_max_weight(module, w_state)
+            w_top = max(module.degrees[lab] for lab in w_state)
             # a(-q)w = sum_i (b(-1-i)c(-q+i)w + c(-1-q-i)b(i)w)
-            i_max2 = int(wt_b + w_top - module.lowest_weight) - 1
+            i_max2 = wt_b + w_top - 1
             for i in range(max(i_max2, -1) + 1):
                 biw = mode_apply(module, b, i, w_state)
                 if biw:
                     rec(c, 1 + qq + i, biw, sc)
-            i_max1 = int(wt_c + w_top - module.lowest_weight) + qq - 1
+            i_max1 = wt_c + w_top + qq - 1
             for i in range(max(i_max1, -1) + 1):
                 cw = mode_apply(module, c, -qq + i, w_state)
                 if not cw:

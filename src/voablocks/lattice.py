@@ -14,10 +14,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import State, TruncatedModel, TruncationError, mode_apply
+from .core import State, TruncatedModel, TruncationError, VerificationError, mode_apply
 from .finiteness import SubspaceSpec, _graded_spans
 from .linalg import SolverEchelon, qstr, vec_add_scaled
-from .virasoro import VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +197,7 @@ class FockModel(TruncatedModel):
                 vec_add_scaled(om, {lab: Fraction(1)}, lat.inv[i][j] / 2)
         self._omega = om
         self._creation_cache: dict = {}
-        self._labels: dict[int, tuple] = {d: () for d in range(cutoff + 1)}
-        tmp: dict[int, list] = {d: [] for d in range(cutoff + 1)}
+        labels: dict[int, list] = {d: [] for d in range(cutoff + 1)}
         for gamma, hn in grounds:
             base = hn - lw
             if base.denominator != 1:
@@ -207,19 +205,13 @@ class FockModel(TruncatedModel):
             base = int(base)
             for d in range(base, cutoff + 1):
                 for heis in _colored_partitions(d - base, r):
-                    tmp[d].append((heis, gamma))
-        for d in range(cutoff + 1):
-            self._labels[d] = tuple(sorted(tmp[d]))
+                    labels[d].append((heis, gamma))
+        self._set_basis({d: sorted(labs) for d, labs in labels.items()})
 
     # -- TruncatedModel interface ------------------------------------------
     @property
     def omega(self) -> State:
         return dict(self._omega)
-
-    def labels_at(self, degree: int) -> tuple:
-        if degree < 0 or degree > self.cutoff:
-            return ()
-        return self._labels[degree]
 
     def weight_of(self, label) -> Fraction:
         heis, gamma = label
@@ -263,7 +255,7 @@ class FockModel(TruncatedModel):
         heis, gamma = label
         if n < 0:
             new = tuple(sorted(heis + ((-n, i),), reverse=True))
-            if self.weight_of((new, gamma)) - self.lowest_weight > self.cutoff:
+            if (new, gamma) not in self.degrees:
                 raise TruncationError("Heisenberg creation exceeds cutoff")
             return {(new, gamma): Fraction(1)}
         if n == 0:
@@ -472,8 +464,8 @@ def b1_span_check(gram, lam_dual, cutoff: int) -> dict:
     model = lattice_model(gram, lam_dual, cutoff)
     gammas = gamma_set(gram, lam_dual)
     grounds = [((), beta) for beta in gammas]
-    seeds = [(model.degree_of(lab), {lab: Fraction(1)}) for lab in grounds
-             if model.weight_of(lab) - model.lowest_weight <= cutoff]
+    seeds = [(model.degrees[lab], {lab: Fraction(1)}) for lab in grounds
+             if lab in model.degrees]
     spans = _graded_spans(model, SubspaceSpec("b1"), seeds)
     deficiencies = [model.dim(d) - ech.rank for d, ech in enumerate(spans)]
     return {

@@ -8,15 +8,12 @@ quotient-ring dimension bounds they imply.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
-from .core import State, TruncatedModel, TruncationError
-from .linalg import Echelon, kernel_of, vec_add_scaled
-
-
-class VerificationError(RuntimeError):
-    """An exact cross-check that must hold for correct code has failed."""
+from .core import State, TruncatedModel, TruncationError, VerificationError
+from .linalg import Echelon, kernel_of, qstr, vec_add_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +37,6 @@ def _kac_weight(p: int, q: int, r: int, s: int) -> Fraction:
 
 
 def _validate_minimal(p: int, q: int, r: int, s: int) -> None:
-    import math
-
     if p <= 0 or q <= 0 or math.gcd(p, q) != 1:
         raise ValueError(f"(p, q) = ({p}, {q}) must be coprime positive integers")
     if not (1 <= r < q and 1 <= s < p):
@@ -163,8 +158,8 @@ class VirasoroModel(TruncatedModel):
     """M(c,h) or a quotient of it by a submodule generated by singular vectors.
 
     Basis labels are partitions.  Each level keeps only the submodule in
-    reduced row echelon form (``_sub``); the basis (``_basis``) is its
-    non-pivot monomials, and reducing a state by it projects onto that basis.
+    reduced row echelon form (``_sub``); the basis is its non-pivot
+    monomials, and reducing a state by it projects onto that basis.
     """
 
     def __init__(
@@ -193,12 +188,10 @@ class VirasoroModel(TruncatedModel):
         if is_voa:
             if self.h != 0:
                 raise ValueError("a Virasoro VOA model requires h = 0")
-            for d in range(cutoff + 1):
-                for part in self._basis[d]:
-                    if _has_one(part):
-                        raise VerificationError(
-                            "quotient basis of a VOA model contains L_{-1} monomials"
-                        )
+            if any(map(_has_one, self.degrees)):
+                raise VerificationError(
+                    "quotient basis of a VOA model contains L_{-1} monomials"
+                )
 
     # -- quotient construction --------------------------------------------
     def _build_quotient(self, gens: list[State]) -> None:
@@ -243,9 +236,8 @@ class VirasoroModel(TruncatedModel):
             for vec in sorted(vecs, key=lambda v: min(map(last_first.__getitem__, v)),
                               reverse=True):
                 sub.add(vec)
-        self._basis: dict[int, tuple] = {
-            d: tuple(sorted(p for p in parts if p not in self._sub[d].pivot_rows))
-            for d, parts in orders.items()}
+        self._set_basis({d: sorted(p for p in parts if p not in self._sub[d].pivot_rows)
+                         for d, parts in orders.items()})
 
     def _state_level(self, s: Mapping) -> int | None:
         lvls = {sum(p) for p in s}
@@ -268,11 +260,6 @@ class VirasoroModel(TruncatedModel):
     @property
     def omega(self) -> State:
         return {(2,): Fraction(1)}
-
-    def labels_at(self, degree: int) -> tuple:
-        if degree < 0 or degree > self.cutoff:
-            return ()
-        return self._basis[degree]
 
     def weight_of(self, label) -> Fraction:
         return self.h + sum(label)
@@ -312,8 +299,6 @@ class VirasoroModel(TruncatedModel):
 def vacuum_voa(c: Fraction, cutoff: int) -> VirasoroModel:
     """The universal Virasoro VOA at charge c: M(c,0) / <L_{-1}vac>."""
     gens = [{(1,): Fraction(1)}]
-    from .linalg import qstr
-
     return VirasoroModel(
         c, Fraction(0), cutoff, gens, is_voa=True, kind="virasoro-vacuum",
         params={"c": qstr(Fraction(c))},
@@ -323,8 +308,6 @@ def vacuum_voa(c: Fraction, cutoff: int) -> VirasoroModel:
 def verma_model(c: Fraction, h: Fraction, cutoff: int,
                 voa: VirasoroModel | None = None) -> VirasoroModel:
     """The Verma module M(c,h) as a module for the vacuum VOA at charge c."""
-    from .linalg import qstr
-
     if voa is None:
         voa = vacuum_voa(c, cutoff)
     return VirasoroModel(

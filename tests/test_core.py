@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from voablocks.core import (
     state_sub,
 )
 from voablocks.lattice import heisenberg_model, lattice_model
-from voablocks.virasoro import irreducible_model, ising_model, vacuum_voa
+from voablocks.virasoro import irreducible_model, ising_model, partitions, vacuum_voa
 
 
 def test_binom_generalized():
@@ -111,6 +112,45 @@ def test_truncation_error_is_loud():
     deep = {(4,): Fraction(1)}
     with pytest.raises(TruncationError):
         mode_apply(voa, omega, -3, deep)
+
+
+BASIS_MODELS = {
+    "ising-sigma": (lambda: irreducible_model(4, 3, 1, 2, 10),
+                    # the level-2 monomial the singular vector removes; a level past the cutoff
+                    lambda m: [next(p for p in partitions(2) if p not in m.labels_at(2)), (11,)]),
+    "a1-lambda1": (lambda: lattice_model([[2]], [1], 6),
+                   # creation modes out of order; a momentum far past the cutoff
+                   lambda m: [(((1, 0), (2, 0)), (0,)), ((), (5,))]),
+    "heisenberg": (lambda: heisenberg_model(1, 6),
+                   lambda m: [(((1, 0), (2, 0)), (0,)), (((7, 0),), (0,))]),
+}
+
+
+@pytest.mark.parametrize("name", BASIS_MODELS)
+def test_graded_basis_contract(name):
+    build, foreign = BASIS_MODELS[name]
+    model = build()
+    for d in range(model.cutoff + 1):
+        assert model.labels_at(d)
+        for lab in model.labels_at(d):
+            assert model.degree_of(lab) == d
+            assert model.weight_of(lab) - model.lowest_weight == d
+    assert model.labels_at(-1) == () and model.labels_at(model.cutoff + 1) == ()
+    for lab in foreign(model):
+        with pytest.raises(ValueError, match=re.escape(repr(lab))):
+            model.degree_of(lab)
+
+
+@pytest.mark.parametrize("name", ["a1-lambda1", "heisenberg"])
+def test_heisenberg_creation_past_the_cutoff_is_loud(name):
+    model = BASIS_MODELS[name][0]()
+    low, top = model.labels_at(0)[0], model.labels_at(model.cutoff)[0]
+    (new,) = model.gen_mode(("h", 0), -model.cutoff, low)
+    assert model.degree_of(new) == model.cutoff
+    with pytest.raises(TruncationError):
+        model.gen_mode(("h", 0), -model.cutoff - 1, low)
+    with pytest.raises(TruncationError):
+        model.gen_mode(("h", 0), -1, top)
 
 
 def test_quasi_primary_space_ising():

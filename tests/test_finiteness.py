@@ -35,6 +35,8 @@ def test_subspace_spec_validation():
         SubspaceSpec("cmu", m=2)
     with pytest.raises(ValueError):
         SubspaceSpec("weird")
+    with pytest.raises(ValueError):
+        SubspaceSpec("cmq", m=1, U=({(2,): Fraction(1)},))
 
 
 def test_bound_k_values():
