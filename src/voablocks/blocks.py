@@ -181,7 +181,7 @@ def slot_matrices(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
     not quasi-primary.
     """
     voa = surface.voa
-    wt_a = voa.state_weight(a)
+    wt_a = voa.state_degree(a)
     if wt_a is None:
         return [{lab: {} for lab in labs} for labs in labels]
     if wt_a != f.weight:
@@ -189,7 +189,6 @@ def slot_matrices(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
                          f"{f.weight}")
     if l1_apply(voa, a):
         raise ValueError("quasi-global operators require a quasi-primary state")
-    wt_a = int(wt_a)
     out = []
     for i, (mod, labs) in enumerate(zip(surface.modules, labels)):
         degrees = {lab: mod.degree_of(lab) for lab in labs}
@@ -280,7 +279,7 @@ def _bracket_matrix(surface: LabeledLine, op1: tuple, op2: tuple):
     """
     (a, f), (b, g) = op1, op2
     voa = surface.voa
-    wa, wb = int(voa.state_weight(a)), int(voa.state_weight(b))
+    wa, wb = voa.state_degree(a), voa.state_degree(b)
     raise_total = max(
         (wa + f.pole_order(i) - 1) + (wb + g.pole_order(i) - 1)
         for i in range(len(surface.line.points))
@@ -330,7 +329,7 @@ def bracket_closure_check(surface: LabeledLine, op1: tuple, op2: tuple) -> bool:
         return True
     (a, f), (b, g) = op1, op2
     voa = surface.voa
-    wa, wb = int(voa.state_weight(a)), int(voa.state_weight(b))
+    wa, wb = voa.state_degree(a), voa.state_degree(b)
     ech = Echelon()
     for dc in range(1, wa + wb):
         bounds = [f.pole_order(i) + g.pole_order(i) + (wa + wb - 1 - dc)

@@ -298,10 +298,15 @@ def cmd_blocks_dim(args) -> tuple[dict, dict, int]:
     for field in ("points", "voa", "labels", "D", "P"):
         if field not in config:
             raise SchemaError(f"config: missing field {field!r}")
-    for field in ("D", "P"):
-        value = config[field]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise SchemaError(f"config: field {field!r} must be a nonnegative "
+    for field in ("points", "labels"):
+        if not isinstance(config[field], list):
+            raise SchemaError(f"config: field {field!r} must be a list, "
+                              f"got {config[field]!r}")
+    for field, low, kind in (("D", 0, "nonnegative"), ("P", 0, "nonnegative"),
+                             ("w_max", 1, "positive")):
+        value = config.get(field, low)  # only w_max may be absent
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise SchemaError(f"config: field {field!r} must be a {kind} "
                               f"integer, got {value!r}")
     d, p = config["D"], config["P"]
     points = tuple(qparse(x) for x in config["points"])

@@ -56,19 +56,15 @@ def binom(p: int, i: int) -> int:
     return (-1) ** i * math.comb(-p + i - 1, i)
 
 
-def _finite_floor(x) -> int:
-    """Last index of a sum whose terms vanish past x; -1 when x < 0."""
-    return math.floor(x) if x >= 0 else -1
-
-
 class TruncatedModel(ABC):
     """A concrete graded model with an exact mode-action rule.
 
     Subclasses fix the graded basis once through ``_set_basis`` and provide
     the decomposition of a basis label into generator(-n) * rest and the
-    primitive generator modes.  Weights are exact rationals; within one
-    model all weights are congruent modulo 1, so degrees (weight - lowest
-    weight) are nonnegative integers.
+    primitive generator modes.  The basis table is the only grading: a
+    label's degree is a nonnegative integer, and its L_0 weight is
+    lowest_weight + degree (within one model all weights are congruent
+    modulo 1).
     """
 
     kind: str = "abstract"
@@ -108,10 +104,6 @@ class TruncatedModel(ABC):
         return self._labels.get(degree, ())
 
     @abstractmethod
-    def weight_of(self, label) -> Fraction:
-        ...
-
-    @abstractmethod
     def decompose(self, label):
         """('vacuum',) | ('gen', gen_id) | ('iter', gen_id, k, rest_state).
 
@@ -124,7 +116,7 @@ class TruncatedModel(ABC):
         """Exact primitive action gen(n) on a basis label."""
 
     @abstractmethod
-    def gen_weight(self, gen_id) -> Fraction:
+    def gen_weight(self, gen_id) -> int:
         ...
 
     # -- derived helpers ---------------------------------------------------
@@ -140,14 +132,14 @@ class TruncatedModel(ABC):
     def basis_state(self, label) -> State:
         return {label: Fraction(1)}
 
-    def state_weight(self, s: Mapping) -> Fraction | None:
-        """Weight of a homogeneous state; None for zero, error if mixed."""
-        wts = {self.weight_of(k) for k in s}
-        if not wts:
+    def state_degree(self, s: Mapping) -> int | None:
+        """Degree of a homogeneous state; None for zero, error if mixed."""
+        degs = {self.degree_of(k) for k in s}
+        if not degs:
             return None
-        if len(wts) > 1:
+        if len(degs) > 1:
             raise ValueError("state is not homogeneous")
-        return wts.pop()
+        return degs.pop()
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -176,15 +168,10 @@ def _mode_label(model: TruncatedModel, alab, n: int, wlab) -> State:
     if cached is not None:
         return cached
     voa = model.voa
-    final_wt = voa.weight_of(alab) + model.weight_of(wlab) - n - 1
-    deg = final_wt - model.lowest_weight
-    if deg.denominator != 1:
-        result: State = {}
-        model._mode_cache[key] = result
-        return result
-    deg = int(deg)
+    # wt a(n)w = wt a + wt w - n - 1, and a VOA's lowest weight is 0.
+    deg = voa.degree_of(alab) + model.degree_of(wlab) - n - 1
     if deg < 0:
-        result = {}
+        result: State = {}
         model._mode_cache[key] = result
         return result
     if deg > model.cutoff:
@@ -212,13 +199,13 @@ def _iterate_formula(model: TruncatedModel, gen, k: int, c_state: Mapping, Q: in
     """
     voa = model.voa
     wt_g = voa.gen_weight(gen)
-    wt_c = voa.state_weight(c_state)
+    wt_c = voa.state_degree(c_state)
     if wt_c is None:
         return {}
-    wt_w = model.weight_of(wlab)
+    deg_w = model.degree_of(wlab)
     out: State = {}
     # First family: vanishes once c(Q+i)w is identically zero by grading.
-    for i in range(_finite_floor(wt_c + wt_w - Q - 1 - model.lowest_weight) + 1):
+    for i in range(wt_c + deg_w - Q):
         inner = mode_apply(model, c_state, Q + i, {wlab: Fraction(1)})
         if not inner:
             continue
@@ -229,7 +216,7 @@ def _iterate_formula(model: TruncatedModel, gen, k: int, c_state: Mapping, Q: in
         vec_add_scaled(out, term, coeff)
     # Second family: vanishes once g(i)w is zero by grading.
     sign = -Fraction((-1) ** k)
-    for i in range(_finite_floor(wt_g + wt_w - 1 - model.lowest_weight) + 1):
+    for i in range(wt_g + deg_w):
         inner = model.gen_mode(gen, i, wlab)
         if not inner:
             continue
@@ -259,13 +246,13 @@ def _borcherds_residual(model, a, b, w, p: int, q: int, r: int) -> State:
     """sum_i C(p,i) (a(r+i)b)(p+q-i)w minus
     sum_i (-1)^i C(r,i) [a(p+r-i)b(q+i)w - (-1)^r b(q+r-i)a(p+i)w]."""
     voa = model.voa
-    wa, wb = voa.state_weight(a), voa.state_weight(b)
-    ww = model.state_weight(w)
-    if wa is None or wb is None or ww is None:
+    wa, wb = voa.state_degree(a), voa.state_degree(b)
+    dw = model.state_degree(w)
+    if wa is None or wb is None or dw is None:
         return {}
     lhs: State = {}
     # a(r+i)b = 0 once the product weight drops below 0 in the N-graded VOA.
-    for i in range(_finite_floor(wa + wb - r - 1) + 1):
+    for i in range(wa + wb - r):
         if 0 <= p < i:  # C(p, i) = 0 from here on
             break
         ab = mode_apply(voa, a, r + i, b)
@@ -273,9 +260,7 @@ def _borcherds_residual(model, a, b, w, p: int, q: int, r: int) -> State:
             continue
         vec_add_scaled(lhs, mode_apply(model, ab, p + q - i, w), Fraction(binom(p, i)))
     rhs: State = {}
-    i_stop = _finite_floor(max(wb + ww - q - 1 - model.lowest_weight,
-                               wa + ww - p - 1 - model.lowest_weight))
-    for i in range(i_stop + 1):
+    for i in range(max(wb + dw - q, wa + dw - p)):
         c = binom(r, i)
         if c == 0:
             continue

@@ -118,11 +118,11 @@ def _span_terms(module: TruncatedModel, spec: SubspaceSpec):
     cutoff = module.cutoff
 
     def terms(a_state: Mapping, n: int):
-        wt_a = voa.state_weight(a_state)
+        wt_a = voa.state_degree(a_state)
         if wt_a is None:
             return
         for dw in range(cutoff + 1):
-            d = int(wt_a) + dw + n - 1
+            d = wt_a + dw + n - 1
             if d > cutoff:
                 break
             for wlab in module.labels_at(dw):
@@ -138,10 +138,10 @@ def _span_terms(module: TruncatedModel, spec: SubspaceSpec):
                 yield from terms({alab: Fraction(1)}, 1)
     else:  # cmu
         for u in spec.U:
-            wt = voa.state_weight(u)
-            if wt is None or wt == 0:
+            wt = voa.state_degree(u)
+            if not wt:
                 continue  # vacuum excluded
-            for n in range(spec.m, cutoff + 2 - int(wt)):
+            for n in range(spec.m, cutoff + 2 - wt):
                 yield from terms(u, n)
 
 
@@ -180,7 +180,7 @@ def subspace_span(module: TruncatedModel, spec: SubspaceSpec) -> list[tuple[int,
 def _decreasing_monomials(voa: TruncatedModel, U: Sequence[Mapping],
                           cutoff: int) -> list[State]:
     """Nonempty u1(-n1)...uk(-nk)1 with n1 > ... > nk > 0, ui in U, up to cutoff."""
-    pos = [u for u in U if voa.state_weight(u) and voa.state_weight(u) > 0]
+    pos = [u for u in U if voa.state_degree(u)]
     out: list[State] = []
 
     # Modes grow strictly from the innermost factor outward, so the leftmost
@@ -190,8 +190,7 @@ def _decreasing_monomials(voa: TruncatedModel, U: Sequence[Mapping],
             out.append(state)
         for n in range(n_min, cutoff + 2):
             for u in pos:
-                wu = int(voa.state_weight(u))
-                new_wt = weight + wu + n - 1
+                new_wt = weight + voa.state_degree(u) + n - 1
                 if new_wt > cutoff:
                     continue
                 new = mode_apply(voa, u, -n, state)
@@ -208,7 +207,7 @@ def quotient_report(module: TruncatedModel, spec: SubspaceSpec,
     if window is None:
         r_u = 0
         if spec.U:
-            r_u = max(int(module.voa.state_weight(u) or 0) for u in spec.U)
+            r_u = max(module.voa.state_degree(u) or 0 for u in spec.U)
         window = max(3, r_u)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -225,7 +224,7 @@ def spanning_set_check(model: TruncatedModel, U: Sequence[Mapping]) -> list[bool
         raise ValueError("spanning_set_check expects a VOA model")
     monos = _decreasing_monomials(model, U, model.cutoff)
     seeds = [(0, {model.vacuum: Fraction(1)})]
-    seeds += [(int(model.state_weight(s)), s) for s in monos]
+    seeds += [(model.state_degree(s), s) for s in monos]
     spans = _graded_spans(model, None, seeds)
     return [ech.rank == model.dim(d) for d, ech in enumerate(spans)]
 
@@ -282,8 +281,7 @@ class _UDecomposer:
             return se
         se = SolverEchelon()
         for idx, u in enumerate(self.U):
-            wt = self.voa.state_weight(u)
-            if wt == weight:
+            if self.voa.state_degree(u) == weight:
                 se.add(u, ("u", idx))
         # The C2 recipes of this weight, in order of wt a and then label;
         # only the vacuum is missing, and its a(-2)b is zero.
@@ -301,8 +299,7 @@ class _UDecomposer:
 
     def split(self, a: Mapping) -> tuple[dict, dict]:
         """a = sum lam_u * U[u] + sum mu_(b',c) * b'(-2)c, exactly."""
-        wt = self.voa.state_weight(a)
-        expr = self._solver(int(wt)).solve(a)
+        expr = self._solver(self.voa.state_degree(a)).solve(a)
         if expr is None:
             raise VerificationError("U does not complement C2(V) at this weight")
         u_part = {k[1]: v for k, v in expr.items() if k[0] == "u"}
@@ -329,10 +326,9 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
     def rec(a_state: Mapping, qq: int, w_state: Mapping, scale: Fraction) -> None:
         if not scale or not a_state or not w_state:
             return
-        wt_a = voa.state_weight(a_state)
+        wt_a = voa.state_degree(a_state)
         if wt_a is None or wt_a < 1:
             raise ValueError("reduction requires homogeneous a of positive weight")
-        wt_a = int(wt_a)
         if qq < m * wt_a:
             raise ValueError(f"precondition q >= m wt a violated: {qq} < {m * wt_a}")
         u_part, c2_part = dec.split(a_state)
@@ -347,8 +343,8 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
                 continue
             b = mode_apply(voa, voa.omega, 0, bp)  # L_{-1} b'
             c = {clab: Fraction(1)}
-            wt_b = int(voa.state_weight(b))
-            wt_c = int(voa.state_weight(c))
+            wt_b = voa.state_degree(b)
+            wt_c = voa.state_degree(c)
             w_top = max(module.degrees[lab] for lab in w_state)
             # a(-q)w = sum_i (b(-1-i)c(-q+i)w + c(-1-q-i)b(i)w)
             i_max2 = wt_b + w_top - 1

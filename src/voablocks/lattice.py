@@ -189,7 +189,6 @@ class FockModel(TruncatedModel):
             raise ValueError("module and VOA have different Gram matrices")
         self.vacuum = ((), zero)
         self._zero = zero
-        self._halfnorms = dict(grounds)  # gamma -> <mu|mu>/2, mu = lambda + gamma
         om: State = {}
         for i in range(r):
             for j in range(r):
@@ -213,18 +212,11 @@ class FockModel(TruncatedModel):
     def omega(self) -> State:
         return dict(self._omega)
 
-    def weight_of(self, label) -> Fraction:
-        heis, gamma = label
-        hn = self._halfnorms.get(gamma)
-        if hn is None:  # a momentum above the cutoff
-            hn = self.lattice.halfnorm(tuple(
-                self.lam_alpha[i] + gamma[i] for i in range(self.lattice.rank)))
-        return hn + sum(n for n, _ in heis)
-
-    def gen_weight(self, gen_id) -> Fraction:
+    def gen_weight(self, gen_id) -> int:
         if gen_id[0] == "h":
-            return Fraction(1)
-        return self.lattice.halfnorm(gen_id[1])
+            return 1
+        beta = gen_id[1]
+        return self.lattice.inner(beta, beta) // 2  # L is even
 
     def decompose(self, label):
         heis, gamma = label

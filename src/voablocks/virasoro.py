@@ -261,13 +261,10 @@ class VirasoroModel(TruncatedModel):
     def omega(self) -> State:
         return {(2,): Fraction(1)}
 
-    def weight_of(self, label) -> Fraction:
-        return self.h + sum(label)
-
-    def gen_weight(self, gen_id) -> Fraction:
+    def gen_weight(self, gen_id) -> int:
         if gen_id != "omega":
             raise ValueError(f"unknown Virasoro generator {gen_id!r}")
-        return Fraction(2)
+        return 2
 
     def decompose(self, label):
         if not label:

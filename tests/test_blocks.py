@@ -119,7 +119,7 @@ def test_qgvo_checks_weight_and_quasi_primary():
 
 def _brute_qgvo(surface, a, f, w):
     """Res_{z_i} Y(a, z_i) ι_{z_i}f summed over slots, one tensor at a time."""
-    wt = int(surface.voa.state_weight(a))
+    wt = surface.voa.state_degree(a)
     out = {}
     for labs, cf in w.items():
         for i, mod in enumerate(surface.modules):
@@ -228,7 +228,7 @@ def test_slot_maps_match_per_tensor_oracle(build):
 def _candidate_family(surface, op1, op2, dom_labels):
     """Slot maps of the candidates bracket_closure_check spans."""
     (a, f), (b, g) = op1, op2
-    wa, wb = int(surface.voa.state_weight(a)), int(surface.voa.state_weight(b))
+    wa, wb = surface.voa.state_degree(a), surface.voa.state_degree(b)
     n = len(surface.line.points)
     return [slot_matrices(surface, c, h, dom_labels)
             for dc in range(1, wa + wb)

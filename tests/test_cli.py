@@ -230,6 +230,8 @@ def test_blocks_dim_computes_u_once_and_one_bound_report_per_module(
 
 @pytest.mark.parametrize("field,value", [
     ("D", -1), ("P", -1), ("D", 2.5), ("P", "4"), ("D", True),
+    ("w_max", "2"), ("w_max", True), ("w_max", 0), ("w_max", None),
+    ("points", 5), ("points", "0"), ("labels", {"r": 1, "s": 1}),
 ])
 def test_blocks_dim_rejects_bad_d_or_p(tmp_path, capsys, field, value):
     config = {

@@ -21,7 +21,9 @@ from voablocks.core import (
     state_sub,
 )
 from voablocks.lattice import heisenberg_model, lattice_model
-from voablocks.virasoro import irreducible_model, ising_model, partitions, vacuum_voa
+from voablocks.virasoro import (
+    VirasoroModel, irreducible_model, ising_model, partitions, vacuum_voa,
+)
 
 
 def test_binom_generalized():
@@ -126,6 +128,15 @@ BASIS_MODELS = {
 }
 
 
+def _label_weight(model, lab):
+    """L_0 weight read off the label: h + |part| (Virasoro), |λ+γ|²/2 + Σn (Fock)."""
+    if isinstance(model, VirasoroModel):
+        return model.h + sum(lab)
+    heis, gamma = lab
+    mu = tuple(l + g for l, g in zip(model.lam_alpha, gamma))
+    return model.lattice.halfnorm(mu) + sum(n for n, _ in heis)
+
+
 @pytest.mark.parametrize("name", BASIS_MODELS)
 def test_graded_basis_contract(name):
     build, foreign = BASIS_MODELS[name]
@@ -134,11 +145,24 @@ def test_graded_basis_contract(name):
         assert model.labels_at(d)
         for lab in model.labels_at(d):
             assert model.degree_of(lab) == d
-            assert model.weight_of(lab) - model.lowest_weight == d
+            assert _label_weight(model, lab) == model.lowest_weight + d
     assert model.labels_at(-1) == () and model.labels_at(model.cutoff + 1) == ()
     for lab in foreign(model):
         with pytest.raises(ValueError, match=re.escape(repr(lab))):
             model.degree_of(lab)
+
+
+@pytest.mark.parametrize("build, foreign", [
+    (lambda: ising_model(cutoff=4), (1, 1)),  # a pivot of the vacuum quotient
+    (lambda: lattice_model([[2]], cutoff=3), ((), (3,))),  # e_{3α} has weight 9
+], ids=["ising-pivot", "a1-momentum-past-cutoff"])
+def test_mode_apply_rejects_a_non_basis_label(build, foreign):
+    v = build()
+    one = {foreign: Fraction(1)}
+    with pytest.raises(ValueError, match=re.escape(repr(foreign))):
+        mode_apply(v, v.omega, 1, one)
+    with pytest.raises(ValueError, match=re.escape(repr(foreign))):
+        mode_apply(v, one, 1, {v.vacuum: Fraction(1)})
 
 
 @pytest.mark.parametrize("name", ["a1-lambda1", "heisenberg"])

@@ -116,7 +116,7 @@ def test_complement_u_ising():
     U, r_u, s_u = complement_U(m)
     assert r_u == s_u
     assert len(U) == 3  # vacuum, omega, one more quasi-primary
-    weights = sorted(int(m.state_weight(u)) for u in U)
+    weights = sorted(m.state_degree(u) for u in U)
     assert weights == [0, 2, 4]
     assert r_u == 4
 
@@ -125,7 +125,7 @@ def test_complement_u_a1_lattice():
     v = lattice_model([[2]], cutoff=4)
     U, r_u, _ = complement_U(v)
     # C2 misses all of V(1): h(-1), e_alpha, e_{-alpha} all appear in U
-    assert sum(1 for u in U if v.state_weight(u) == 1) == 3
+    assert sum(1 for u in U if v.state_degree(u) == 1) == 3
 
 
 def test_complement_u_heisenberg_keeps_growing():
@@ -149,7 +149,7 @@ def test_spanning_set_check_a1():
 def test_certificate_base_case_u_element():
     m = ising_model(cutoff=12)
     U, _, _ = complement_U(m)
-    omega_u = next(u for u in U if m.state_weight(u) == 2)
+    omega_u = next(u for u in U if m.state_degree(u) == 2)
     w = m.basis_state(())
     cert = reduce_certificate(m, omega_u, 4, w, U, m=2)
     assert len(cert.entries) == 1
@@ -183,7 +183,7 @@ def test_certificate_randomized_ising():
     labels2 = [lab for d in range(2, 5) for lab in m.labels_at(d)]
     for _ in range(10):
         alab = rng.choice(labels2)
-        wt = int(m.weight_of(alab))
+        wt = m.degree_of(alab)
         q = 2 * wt + rng.randint(0, 1)
         w = m.basis_state(rng.choice(m.labels_at(rng.choice([0, 2]))))
         cert = reduce_certificate(m, m.basis_state(alab), q, w, U, m=2)
@@ -231,7 +231,7 @@ def test_certificate_rejects_entries_below_m():
     # the U-part entry omega(2)w lands below C_m and the check must fire.
     m = ising_model(cutoff=10)
     U, _, _ = complement_U(m)
-    omega_u = next(u for u in U if m.state_weight(u) == 2)
+    omega_u = next(u for u in U if m.state_degree(u) == 2)
     with pytest.raises(VerificationError):
         reduce_certificate(m, omega_u, -2, m.basis_state(()), U, m=-1)
 
@@ -328,13 +328,13 @@ def _spanning_exhaustive(model, U):
     """spanning_set_check with the vacuum and every decreasing monomial added."""
     spans = [Echelon() for _ in range(model.cutoff + 1)]
     spans[0].add({model.vacuum: Fraction(1)})
-    positive = [u for u in U if model.state_weight(u)]
+    positive = [u for u in U if model.state_degree(u)]
 
     def extend(state, weight, n_min):
         # state = u1(-n1)...uk(-nk)1 with n1 > ... > nk; prepend a larger mode
         for n in range(n_min, model.cutoff + 2):
             for u in positive:
-                new_wt = weight + int(model.state_weight(u)) + n - 1
+                new_wt = weight + model.state_degree(u) + n - 1
                 if new_wt <= model.cutoff:
                     new = mode_apply(model, u, -n, state)
                     if new:
@@ -373,7 +373,7 @@ def test_u_split_matches_exhaustive_solver():
     for wt in range(1, m.cutoff + 1):
         se = SolverEchelon()
         for idx, u in enumerate(U):
-            if m.state_weight(u) == wt:
+            if m.state_degree(u) == wt:
                 se.add(u, ("u", idx))
         for wa in range(wt):
             for alab in m.labels_at(wa):

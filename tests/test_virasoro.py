@@ -1,10 +1,12 @@
 """Verma actions, singular vectors, quotient models, projection polynomials."""
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from voablocks import virasoro
 from voablocks.core import TruncationError, check_identity, mode_apply
@@ -414,3 +416,94 @@ def test_ff_verify_rejects_mismatched_parameters():
         ff_verify(4, 3, 3, 1)
     with pytest.raises((VerificationError, ValueError)):
         ff_verify(6, 4, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: the maximal submodule from L_1 and L_2 alone.  Nothing
+# below calls voablocks except to build the model under test.
+
+
+def _own_partitions(n, top=None):
+    """Weakly decreasing positive tuples summing to n, largest part <= top."""
+    top = n if top is None else top
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, top), 0, -1)
+            for rest in _own_partitions(n - k, k)]
+
+
+class _OwnVerma:
+    """L_m on the PBW monomials L_{-λ1}...L_{-λk}|h> of M(c, h), λ weakly decreasing."""
+
+    def __init__(self, c, h):
+        self.c, self.h = c, h
+        self._memo = {}
+
+    def L(self, m, part):
+        if (m, part) not in self._memo:
+            self._memo[m, part] = self._straighten(m, part)
+        return self._memo[m, part]
+
+    def _straighten(self, m, part):
+        if not part:
+            return {} if m > 0 else {(): self.h} if m == 0 else {(-m,): Fraction(1)}
+        n, rest = part[0], part[1:]
+        if -m >= n:
+            return {(-m,) + part: Fraction(1)}
+        # L_m L_{-n} = L_{-n} L_m + (m + n) L_{m-n} + δ_{m,n} c (m³ - m) / 12
+        out = defaultdict(Fraction)
+        for mono, v in self.L(m, rest).items():
+            for mono2, v2 in self.L(-n, mono).items():
+                out[mono2] += v * v2
+        for mono, v in self.L(m - n, rest).items():
+            out[mono] += (m + n) * v
+        if m == n:
+            out[rest] += self.c * (m ** 3 - m) / 12
+        return dict(out)
+
+
+def _qq_matrix(vecs, keys):
+    """Rows = vecs ({key: Fraction}), columns = keys, over sympy's QQ."""
+    rows = [[Fraction(v.get(k, 0)) for k in keys] for v in vecs]
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in rows],
+                        (len(vecs), len(keys)), QQ)
+
+
+def _quotient_maps(c, h, cutoff):
+    """Per level d a full-row-rank P_d over QQ with ker P_d = J_d.
+
+    J_0 = 0 and J_d = {v in M_d : L_1 v in J_{d-1}, L_2 v in J_{d-2}}: in a
+    highest-weight module a vector at level d > 0 is zero iff L_1 and L_2
+    both kill it, so J is the maximal proper submodule of M(c, h).
+    """
+    verma = _OwnVerma(c, h)
+    maps = {0: DomainMatrix.eye(1, QQ)}
+    for d in range(1, cutoff + 1):
+        parts = _own_partitions(d)
+        blocks = [maps[d - k] * _qq_matrix([verma.L(k, p) for p in parts],
+                                           _own_partitions(d - k)).transpose()
+                  for k in (1, 2) if d - k >= 0 and maps[d - k].shape[0]]
+        stacked = blocks[0]
+        for b in blocks[1:]:
+            stacked = stacked.vstack(b)
+        rref, pivots = stacked.rref()
+        maps[d] = rref[:len(pivots), :]
+    return maps
+
+
+@pytest.mark.parametrize("p, q, r, s, cutoff", [
+    (4, 3, 1, 2, 12), (4, 3, 2, 1, 12), (4, 3, 1, 1, 12),
+    (5, 4, 2, 2, 10), (5, 2, 1, 2, 12),
+], ids=["ising-sigma", "ising-epsilon", "ising-vacuum", "5-4-2-2", "lee-yang-phi"])
+def test_submodule_is_the_maximal_one_by_an_independent_oracle(p, q, r, s, cutoff):
+    c = 1 - Fraction(6 * (p - q) ** 2, p * q)
+    h = Fraction((p * r - q * s) ** 2 - (p - q) ** 2, 4 * p * q)
+    maps = _quotient_maps(c, h, cutoff)
+    model = irreducible_model(p, q, r, s, cutoff)
+    for d in range(cutoff + 1):
+        parts = _own_partitions(d)
+        rows = list(model._sub[d].pivot_rows.values())
+        # The stored rows are independent, lie in J_d, and number dim J_d.
+        assert maps[d].shape[0] == len(parts) - len(rows), d
+        if rows:
+            assert (maps[d] * _qq_matrix(rows, parts).transpose()).is_zero_matrix, d
