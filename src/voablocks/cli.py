@@ -370,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     ci = sub.add_parser("check-identities", parents=[], add_help=True)
     ci.add_argument("--model", default="ising")
     ci.add_argument("--cutoff", type=_nonnegative_int, default=8)
-    ci.add_argument("--samples", type=int, default=200)
+    ci.add_argument("--samples", type=_positive_int, default=200)
     ci.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ci.add_argument("--max-exponent", type=int, default=4)
+    ci.add_argument("--max-exponent", type=_positive_int, default=4)
     ci.set_defaults(fn=cmd_check_identities)
     common(ci)
 

@@ -27,26 +27,6 @@ class VerificationError(RuntimeError):
     """An exact cross-check that must hold for correct code has failed."""
 
 
-def state_add(*states: Mapping) -> State:
-    out: State = {}
-    for s in states:
-        vec_add_scaled(out, s, Fraction(1))
-    return out
-
-
-def state_scale(s: Mapping, c) -> State:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in s.items()}
-
-
-def state_sub(a: Mapping, b: Mapping) -> State:
-    out = dict(a)
-    vec_add_scaled(out, b, Fraction(-1))
-    return out
-
-
 def binom(p: int, i: int) -> int:
     """Generalized binomial coefficient for integer p and i >= 0."""
     if i < 0:
@@ -61,7 +41,8 @@ class TruncatedModel(ABC):
 
     Subclasses fix the graded basis once through ``_set_basis`` and provide
     the decomposition of a basis label into generator(-n) * rest and the
-    primitive generator modes.  The basis table is the only grading: a
+    primitive generator modes.  A generator is named by its own basis label,
+    so its weight is its degree.  The basis table is the only grading: a
     label's degree is a nonnegative integer, and its L_0 weight is
     lowest_weight + degree (within one model all weights are congruent
     modulo 1).
@@ -105,19 +86,20 @@ class TruncatedModel(ABC):
 
     @abstractmethod
     def decompose(self, label):
-        """('vacuum',) | ('gen', gen_id) | ('iter', gen_id, k, rest_state).
+        """('vacuum',) | ('gen',) | ('iter', gen, k, rest_state).
 
-        In the 'iter' case the label equals gen(-k) applied to rest_state
-        with k >= 1, gen a primitive generator, and rest_state homogeneous.
+        ('gen',) marks a primitive generator.  In the 'iter' case the label
+        equals gen(-k) applied to rest_state with k >= 1, gen the basis label
+        of a primitive generator, and rest_state homogeneous.
         """
 
     @abstractmethod
-    def gen_mode(self, gen_id, n: int, label) -> State:
-        """Exact primitive action gen(n) on a basis label."""
+    def gen_mode(self, gen, n: int, label) -> State:
+        """Exact primitive action gen(n) on a basis label.
 
-    @abstractmethod
-    def gen_weight(self, gen_id) -> int:
-        ...
+        Called only by the mode path, which has already checked that the
+        result's degree lies in [0, cutoff].
+        """
 
     # -- derived helpers ---------------------------------------------------
     def degree_of(self, label) -> int:
@@ -183,7 +165,7 @@ def _mode_label(model: TruncatedModel, alab, n: int, wlab) -> State:
     if dec[0] == "vacuum":
         result = {wlab: Fraction(1)} if n == -1 else {}
     elif dec[0] == "gen":
-        result = model.gen_mode(dec[1], n, wlab)
+        result = model.gen_mode(alab, n, wlab)
     else:
         _, gen, k, rest = dec
         result = _iterate_formula(model, gen, k, rest, n, wlab)
@@ -198,7 +180,7 @@ def _iterate_formula(model: TruncatedModel, gen, k: int, c_state: Mapping, Q: in
                    - (-1)^k sum_i C(k+i-1, i) c(-k+Q-i)(g(i)w)
     """
     voa = model.voa
-    wt_g = voa.gen_weight(gen)
+    wt_g = voa.degree_of(gen)
     wt_c = voa.state_degree(c_state)
     if wt_c is None:
         return {}
@@ -212,12 +194,12 @@ def _iterate_formula(model: TruncatedModel, gen, k: int, c_state: Mapping, Q: in
         coeff = Fraction(binom(-k, i) * (-1) ** i)
         term: State = {}
         for lab, cf in inner.items():
-            vec_add_scaled(term, model.gen_mode(gen, -k - i, lab), cf)
+            vec_add_scaled(term, _mode_label(model, gen, -k - i, lab), cf)
         vec_add_scaled(out, term, coeff)
     # Second family: vanishes once g(i)w is zero by grading.
     sign = -Fraction((-1) ** k)
     for i in range(wt_g + deg_w):
-        inner = model.gen_mode(gen, i, wlab)
+        inner = _mode_label(model, gen, i, wlab)
         if not inner:
             continue
         coeff = sign * binom(-k, i) * (-1) ** i
@@ -269,7 +251,8 @@ def _borcherds_residual(model, a, b, w, p: int, q: int, r: int) -> State:
         vec_add_scaled(rhs, t1, coeff)
         t2 = mode_apply(model, b, q + r - i, mode_apply(model, a, p + i, w))
         vec_add_scaled(rhs, t2, -coeff * (-1 if r % 2 else 1))
-    return state_sub(lhs, rhs)
+    vec_add_scaled(lhs, rhs, -1)
+    return lhs
 
 
 def _associativity_residual(model, a, b, w, n: int, q: int) -> State:
@@ -279,16 +262,18 @@ def _associativity_residual(model, a, b, w, n: int, q: int) -> State:
 
 def _commutator_residual(model, a, b, w, p: int, q: int) -> State:
     """[a(p), b(q)]w - sum_i C(p,i) (a(i)b)(p+q-i)w: Borcherds at r = 0, sides swapped."""
-    return state_scale(_borcherds_residual(model, a, b, w, p=p, q=q, r=0), -1)
+    out: State = {}
+    vec_add_scaled(out, _borcherds_residual(model, a, b, w, p=p, q=q, r=0), -1)
+    return out
 
 
 def _translation_residual(model, a, w, q: int) -> State:
     """(L_{-1}a)(q)w + q a(q-1)w."""
     voa = model.voa
     la = mode_apply(voa, voa.omega, 0, a)  # L_{-1} = omega(0)
-    t1 = mode_apply(model, la, q, w)
-    t2 = state_scale(mode_apply(model, a, q - 1, w), q)
-    return state_add(t1, t2)
+    out = mode_apply(model, la, q, w)
+    vec_add_scaled(out, mode_apply(model, a, q - 1, w), q)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import State, TruncatedModel, TruncationError, VerificationError, mode_apply
+from .core import State, TruncatedModel, VerificationError, mode_apply
 from .finiteness import SubspaceSpec, _graded_spans
 from .linalg import SolverEchelon, qstr, vec_add_scaled
 
@@ -212,27 +212,21 @@ class FockModel(TruncatedModel):
     def omega(self) -> State:
         return dict(self._omega)
 
-    def gen_weight(self, gen_id) -> int:
-        if gen_id[0] == "h":
-            return 1
-        beta = gen_id[1]
-        return self.lattice.inner(beta, beta) // 2  # L is even
-
     def decompose(self, label):
         heis, gamma = label
         if not heis:
-            if gamma == self._zero:
-                return ("vacuum",)
-            return ("gen", ("e", gamma))
+            return ("vacuum",) if gamma == self._zero else ("gen",)
         if len(heis) == 1 and heis[0][0] == 1 and gamma == self._zero:
-            return ("gen", ("h", heis[0][1]))
+            return ("gen",)
         n, i = heis[0]
-        return ("iter", ("h", i), n, {(heis[1:], gamma): Fraction(1)})
+        return ("iter", (((1, i),), self._zero), n, {(heis[1:], gamma): Fraction(1)})
 
-    def gen_mode(self, gen_id, n: int, label) -> State:
-        if gen_id[0] == "h":
-            return self._h_mode(gen_id[1], n, label)
-        return self._e_mode(gen_id[1], n, label)
+    def gen_mode(self, gen, n: int, label) -> State:
+        # h_i(-1)1 carries one Heisenberg mode; e^beta carries none.
+        heis, beta = gen
+        if heis:
+            return self._h_mode(heis[0][1], n, label)
+        return self._e_mode(beta, n, label)
 
     def descriptor(self) -> dict:
         return {
@@ -246,10 +240,7 @@ class FockModel(TruncatedModel):
     def _h_mode(self, i: int, n: int, label) -> State:
         heis, gamma = label
         if n < 0:
-            new = tuple(sorted(heis + ((-n, i),), reverse=True))
-            if (new, gamma) not in self.degrees:
-                raise TruncationError("Heisenberg creation exceeds cutoff")
-            return {(new, gamma): Fraction(1)}
+            return {(tuple(sorted(heis + ((-n, i),), reverse=True)), gamma): Fraction(1)}
         if n == 0:
             mu = tuple(self.lam_alpha[k] + gamma[k] for k in range(self.lattice.rank))
             ev = self.lattice.pairings(mu)[i]

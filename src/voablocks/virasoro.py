@@ -180,6 +180,8 @@ class VirasoroModel(TruncatedModel):
         self.h = Fraction(h)
         if voa is not None and voa.central_charge != self.c:
             raise ValueError(f"central charge {self.c} is not the VOA's {voa.central_charge}")
+        if voa is None and not is_voa:
+            raise ValueError("a module needs an explicit VOA model")
         self.is_voa = is_voa
         self._voa = voa
         self.vacuum = ()
@@ -261,31 +263,17 @@ class VirasoroModel(TruncatedModel):
     def omega(self) -> State:
         return {(2,): Fraction(1)}
 
-    def gen_weight(self, gen_id) -> int:
-        if gen_id != "omega":
-            raise ValueError(f"unknown Virasoro generator {gen_id!r}")
-        return 2
-
     def decompose(self, label):
         if not label:
             return ("vacuum",)
         if label == (2,):
-            return ("gen", "omega")
+            return ("gen",)
         n1, rest = label[0], label[1:]
-        return ("iter", "omega", n1 - 1, self.reduce_partition_state({rest: Fraction(1)}))
+        return ("iter", (2,), n1 - 1, self.reduce_partition_state({rest: Fraction(1)}))
 
-    def gen_mode(self, gen_id, n: int, label) -> State:
-        if gen_id != "omega":
-            raise ValueError(f"unknown Virasoro generator {gen_id!r}")
-        m = n - 1  # omega(n) = L_{n-1}
-        lvl = sum(label) - m
-        if lvl > self.cutoff:
-            raise TruncationError(
-                f"L_{m} on level {sum(label)} exceeds cutoff {self.cutoff}"
-            )
-        if lvl < 0:
-            return {}
-        return self.reduce_partition_state(self.action._L(m, label))
+    def gen_mode(self, gen, n: int, label) -> State:
+        # omega(n) = L_{n-1}; the only generator is omega, at label (2,).
+        return self._sub[sum(label) - n + 1].reduce(self.action._L(n - 1, label))
 
     def descriptor(self) -> dict:
         d = {"kind": self.kind, "cutoff": self.cutoff}

@@ -256,12 +256,18 @@ def test_blocks_dim_rejects_bad_d_or_p(tmp_path, capsys, field, value):
     ["lattice", "b1check", "--gram", "[[2]]", "--cutoff", "-2"],
     ["virasoro", "singular", "-p", "4", "-q", "3", "-r", "1", "-s", "2",
      "--level", "-1"],
+    # A sample count or exponent bound below 1 cannot draw a valid sample.
+    ["check-identities", "--max-exponent", "0"],
+    ["check-identities", "--max-exponent", "-1"],
+    ["check-identities", "--samples", "0"],
+    ["check-identities", "--samples", "-3"],
 ])
 def test_negative_cutoff_or_level_is_a_schema_error(capsys, argv):
+    low = 1 if argv[-2] in ("--max-exponent", "--samples") else 0
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("schema error:") and "must be >= 0" in captured.err
+    assert captured.err.startswith("schema error:") and f"must be >= {low}" in captured.err
 
 
 @pytest.mark.parametrize("window", ["0", "-2"])

@@ -16,11 +16,9 @@ from voablocks.core import (
     is_quasi_primary_generated,
     mode_apply,
     quasi_primary_space,
-    state_add,
-    state_scale,
-    state_sub,
 )
-from voablocks.lattice import heisenberg_model, lattice_model
+from voablocks.lattice import FockModel, heisenberg_model, lattice_model
+from voablocks.linalg import vec_add_scaled
 from voablocks.virasoro import (
     VirasoroModel, irreducible_model, ising_model, partitions, vacuum_voa,
 )
@@ -38,13 +36,22 @@ def test_binom_generalized():
             assert binom(p, i) == binom(p - 1, i - 1) + binom(p - 1, i)
 
 
-def test_state_arithmetic():
+def test_vec_add_scaled_is_the_state_arithmetic():
     a = {"x": Fraction(1), "y": Fraction(2)}
-    b = {"y": Fraction(-2), "z": Fraction(1)}
-    assert state_add(a, b) == {"x": Fraction(1), "z": Fraction(1)}
-    assert state_sub(a, a) == {}
-    assert state_scale(a, Fraction(0)) == {}
-    assert state_scale(a, Fraction(3))["y"] == 6
+    b = {"y": Fraction(-2), "w": Fraction(1, 2), "z": Fraction(1)}
+    s = dict(a)
+    vec_add_scaled(s, b, 1)  # y cancels; w and z are appended in b's order
+    assert s == {"x": Fraction(1), "w": Fraction(1, 2), "z": Fraction(1)}
+    assert list(s) == ["x", "w", "z"]
+    d = dict(a)
+    vec_add_scaled(d, a, -1)
+    assert d == {}
+    t: dict = {}
+    vec_add_scaled(t, a, 3)
+    assert t == {"x": Fraction(3), "y": Fraction(6)}
+    vec_add_scaled(t, a, 0)
+    vec_add_scaled(t, {"y": Fraction(2), "v": Fraction(1)}, -3)
+    assert t == {"x": Fraction(3), "v": Fraction(-3)} and list(t) == ["x", "v"]
 
 
 def test_vacuum_mode_is_identity():
@@ -77,7 +84,8 @@ def test_iterated_mode_against_direct_composition():
     for n in range(-3, 4):
         w = {(2,): Fraction(1)}
         got = mode_apply(voa, deriv, n, w)
-        expect = state_scale(mode_apply(voa, omega, n - 1, w), -n)
+        expect: dict = {}
+        vec_add_scaled(expect, mode_apply(voa, omega, n - 1, w), -n)
         assert got == expect
 
 
@@ -168,13 +176,36 @@ def test_mode_apply_rejects_a_non_basis_label(build, foreign):
 @pytest.mark.parametrize("name", ["a1-lambda1", "heisenberg"])
 def test_heisenberg_creation_past_the_cutoff_is_loud(name):
     model = BASIS_MODELS[name][0]()
-    low, top = model.labels_at(0)[0], model.labels_at(model.cutoff)[0]
-    (new,) = model.gen_mode(("h", 0), -model.cutoff, low)
+    h0 = {(((1, 0),), (0,)): Fraction(1)}  # the generator h_0(-1)1, by its label
+    low = {model.labels_at(0)[0]: Fraction(1)}
+    top = {model.labels_at(model.cutoff)[0]: Fraction(1)}
+    (new,) = mode_apply(model, h0, -model.cutoff, low)
     assert model.degree_of(new) == model.cutoff
     with pytest.raises(TruncationError):
-        model.gen_mode(("h", 0), -model.cutoff - 1, low)
+        mode_apply(model, h0, -model.cutoff - 1, low)
     with pytest.raises(TruncationError):
-        model.gen_mode(("h", 0), -1, top)
+        mode_apply(model, h0, -1, top)
+
+
+@pytest.mark.parametrize("build", [
+    *(build for build, _ in BASIS_MODELS.values()),
+    lambda: vacuum_voa(Fraction(1, 2), 8),
+], ids=[*BASIS_MODELS, "virasoro-vacuum"])
+def test_decompose_names_each_generator_by_its_basis_label(build):
+    voa = build().voa
+    iterated = 0
+    for d in range(voa.cutoff + 1):
+        for label in voa.labels_at(d):
+            dec = voa.decompose(label)
+            if dec[0] != "iter":
+                continue
+            _, gen, k, rest = dec
+            assert gen in voa.degrees
+            assert voa.decompose(gen) == ("gen",)
+            assert k >= 1
+            assert mode_apply(voa, {gen: Fraction(1)}, -k, rest) == {label: Fraction(1)}
+            iterated += 1
+    assert iterated
 
 
 def test_quasi_primary_space_ising():
@@ -217,4 +248,14 @@ def test_a_voa_model_is_freed_without_the_cycle_collector(build):
 ], ids=["virasoro", "lattice"])
 def test_a_module_over_a_different_voa_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    # sigma = L(1/2, 1/16): with no VOA it would act on itself as if v_h were a vacuum
+    lambda: VirasoroModel(Fraction(1, 2), Fraction(1, 16), 6),
+    lambda: FockModel([[2]], [1], 4),
+], ids=["virasoro", "lattice"])
+def test_a_module_without_a_voa_is_rejected(build):
+    with pytest.raises(ValueError, match="a module needs an explicit VOA model"):
         build()

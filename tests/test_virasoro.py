@@ -305,16 +305,6 @@ def test_omega_modes_match_verma_action_on_verma_module():
                 assert got == act.L(mode - 1, part)
 
 
-def test_gen_weight_rejects_unknown_generator():
-    with pytest.raises(ValueError):
-        ising_model(cutoff=4).gen_weight("h")
-
-
-def test_gen_mode_rejects_unknown_generator():
-    with pytest.raises(ValueError):
-        ising_model(cutoff=4).gen_mode("h", 1, (2,))
-
-
 def test_truncation_error_is_raised_loudly():
     m = verma_model(Fraction(1, 2), Fraction(0), cutoff=3)
     with pytest.raises(TruncationError):
