@@ -6,10 +6,14 @@ scalars are ``fractions.Fraction``, which normalizes eagerly, and the
 elimination routines never introduce approximate entries.
 
 A sparse vector is a dict whose values are always ``Fraction``s, never
-zero; a scaling coefficient may be an int or a ``Fraction``.  Units cost no
-arithmetic: ``vec_add_scaled`` with coefficient 1 or -1 moves or negates
-values instead of multiplying them, and ``Echelon.add`` stores a residual
-whose pivot coefficient is 1 as it is, without dividing it through.
+zero; a scaling coefficient must be an int or a ``Fraction``.
+``vec_add_scaled`` is the one multiply-add: it works on the integer ratios
+of its operands and builds each changed entry with one normalizing
+``Fraction`` construction, and it never stores a zero, not even one that
+``src`` holds.  Units cost no arithmetic on new keys, which take ``src``'s
+value itself or its negation.  ``Echelon.add`` divides a residual by its
+pivot through the same kernel, and stores a residual whose pivot
+coefficient is already 1 as it is.
 """
 
 from __future__ import annotations
@@ -47,26 +51,35 @@ SparseVector = dict  # index -> Fraction, no stored zeros
 def vec_add_scaled(dst: dict, src: Mapping, coeff: Fraction | int) -> None:
     """dst += coeff * src, dropping entries that cancel to zero.
 
-    Values of ``dst`` and ``src`` are always ``Fraction``s; ``coeff`` may be
-    an int or a ``Fraction``.  A coefficient of 1 or -1 skips the
-    multiplication: ``dst`` takes ``src``'s value itself or its negation, or
-    their sum or difference.  A ``Fraction`` is immutable, so the two vectors
-    may share one.  New keys are appended in ``src``'s order.
+    Values of ``dst`` and ``src`` are always ``Fraction``s; ``coeff`` must be
+    an int or a ``Fraction`` (anything else, a float say, raises
+    ``TypeError``).  Each entry is computed from the integer ratios of the
+    operands and stored as one normalizing ``Fraction`` construction:
+    ``a + c*v`` is ``(an*vd*cd + cn*vn*ad) / (ad*vd*cd)``, and a new key
+    takes ``(cn*vn) / (cd*vd)``.  A coefficient of 1 or -1 gives a new key
+    ``src``'s value itself or its negation; a ``Fraction`` is immutable, so
+    the two vectors may share one.  A sum that cancels deletes its key, and
+    a zero value in ``src`` is never stored.  Surviving keys keep their
+    order; new keys are appended in ``src``'s order.
     """
+    if not isinstance(coeff, (int, Fraction)):
+        raise TypeError(f"vec_add_scaled: coefficient must be an int or a Fraction, "
+                        f"not {type(coeff).__name__}")
     if not coeff:
         return
-    sign = 1 if coeff == 1 else -1 if coeff == -1 else 0
+    cn, cd = coeff.as_integer_ratio()
+    unit = cn if cd == 1 and cn in (1, -1) else 0
     for k, v in src.items():
-        if sign == 1:
-            new = dst[k] + v if k in dst else v
-        elif sign:
-            new = dst[k] - v if k in dst else -v
-        else:
-            new = dst[k] + coeff * v if k in dst else coeff * v
-        if new:
-            dst[k] = new
-        else:
-            dst.pop(k, None)
+        vn, vd = v.as_integer_ratio()
+        if k in dst:
+            an, ad = dst[k].as_integer_ratio()
+            num = an * vd * cd + cn * vn * ad
+            if num:
+                dst[k] = Fraction(num, ad * vd * cd)
+            else:
+                del dst[k]
+        elif vn:
+            dst[k] = v if unit == 1 else -v if unit else Fraction(cn * vn, cd * vd)
 
 
 class Echelon:
@@ -107,9 +120,12 @@ class Echelon:
         if not v:
             return False
         pivot = min(v, key=self.pivot_key)
-        pv = Fraction(v[pivot])  # so that int input divides exactly too
+        pv = v[pivot]
         # A unit pivot needs no division: the residual is already the row.
-        row = v if pv == 1 else {k: c / pv for k, c in v.items()}
+        row = v
+        if pv != 1:
+            row = {}
+            vec_add_scaled(row, v, 1 / Fraction(pv))  # int input divides exactly too
         for p, r in self.pivot_rows.items():
             if pivot in r:
                 vec_add_scaled(r, row, -r[pivot])

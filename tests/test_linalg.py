@@ -15,6 +15,7 @@ from voablocks.linalg import (
     kernel_of,
     qparse,
     qstr,
+    vec_add_scaled,
 )
 from voablocks.virasoro import feigin_fuchs, ff_square_product
 
@@ -60,6 +61,18 @@ def test_int_input_is_stored_exactly():
     for e in (ech, sol):
         values = [v for row in e.pivot_rows.values() for v in row.values()]
         assert values and not any(isinstance(v, float) for v in values)
+
+
+@pytest.mark.parametrize("coeff", [0.5, 0.0, 1.0])
+def test_vec_add_scaled_rejects_a_float_coefficient(coeff):
+    # A float would make the sum inexact (or, read as an integer ratio, the
+    # float's binary expansion); the check runs once per call, so an empty
+    # src raises too.
+    dst = {1: Fraction(2, 7)}
+    for src in ({0: Fraction(1, 3)}, {}):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            vec_add_scaled(dst, src, coeff)
+    assert dst == {1: Fraction(2, 7)}
 
 
 def test_solver_echelon_recovers_coefficients():

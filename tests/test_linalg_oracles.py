@@ -2,6 +2,7 @@
 reference; neither shares code with ``linalg``."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -137,9 +138,12 @@ def reference_add_scaled(dst: dict, src: dict, coeff) -> dict:
     return {k: v for k, v in total.items() if v != 0}
 
 
-# Few keys and small values, so that overlaps and cancellations are common.
-small_vectors = st.dictionaries(
-    st.integers(0, 7), st.fractions(min_value=-2, max_value=2, max_denominator=2))
+# Few keys, so that overlaps are common; small values, so that cancellations
+# are common, mixed with large ones, so that each sum really has to normalize.
+vectors = st.dictionaries(
+    st.integers(0, 7),
+    st.one_of(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+              st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6))))
 coefficients = st.one_of(
     st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
     st.integers(-4, 4),
@@ -147,7 +151,15 @@ coefficients = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_vectors, small_vectors, coefficients)
+@given(vectors, vectors, coefficients)
+# A zero value in src is never stored, whatever the coefficient.
+@example({0: Fraction(1)}, {1: Fraction(0)}, 1)
+@example({0: Fraction(1)}, {1: Fraction(0)}, -1)
+@example({0: Fraction(1)}, {1: Fraction(0)}, Fraction(3, 2))
+# Full cancellation empties dst.
+@example({0: Fraction(1, 3), 1: Fraction(-5, 2)}, {0: Fraction(-1, 3), 1: Fraction(5, 2)}, 1)
+# An int coefficient.
+@example({0: Fraction(1, 6)}, {0: Fraction(5, 4), 1: Fraction(-7, 10)}, 2)
 def test_vec_add_scaled_matches_dict_reference(dst, src, coeff):
     dst = {k: v for k, v in dst.items() if v}  # a vector stores no zeros
     expected = reference_add_scaled(dst, src, coeff)
@@ -157,6 +169,7 @@ def test_vec_add_scaled_matches_dict_reference(dst, src, coeff):
     assert list(dst) == list(expected)  # surviving keys keep their order
     assert all(v != 0 for v in dst.values())
     assert all(type(v) is Fraction for v in dst.values())
+    assert all(gcd(v.numerator, v.denominator) == 1 for v in dst.values())
     assert list(src.items()) == src_before
 
 
