@@ -9,7 +9,7 @@ genus-g pole-order calculus is numeric only (Riemann-Roch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -21,7 +21,8 @@ from .core import (
     mode_apply,
     quasi_primary_space,
 )
-from .finiteness import SubspaceSpec, complement_U, quotient_report
+from .finiteness import (_WINDOW_FLOOR, SubspaceSpec, _stabilized, complement_U,
+                         quotient_report)
 from .linalg import Echelon, vec_add_scaled
 
 
@@ -350,9 +351,6 @@ def bracket_closure_check(surface: LabeledLine, op1: tuple, op2: tuple) -> bool:
 # ---------------------------------------------------------------------------
 # Coinvariant dimension estimation
 
-# An estimate is stabilized when its top _STABLE_WINDOW degrees are all zero.
-_STABLE_WINDOW = 3
-
 
 @dataclass
 class CoinvariantReport:
@@ -365,20 +363,11 @@ class CoinvariantReport:
     params: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "est_per_degree": list(self.est_per_degree),
-            "d_valid": self.d_valid,
-            "total": self.total,
-            "stabilized": self.stabilized,
-            "theorem_bound": self.theorem_bound,
-            "bound_provisional": self.bound_provisional,
-            "params": dict(self.params),
-        }
+        return asdict(self)
 
 
 def coinvariant_report(surface: LabeledLine, D: int, P: int,
-                       w_max: int | None = None,
-                       with_bound: bool = True) -> CoinvariantReport:
+                       w_max: int | None = None) -> CoinvariantReport:
     """Graded estimate of the coinvariant dimensions on the pointed line.
 
     Relations are quasi-global operator images with quasi-primary states of
@@ -393,7 +382,8 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     are added in ascending top degree.  A stored row holds nothing above its
     own pivot's degree, so back-substitution then reaches only rows whose
     pivot lies between the new pivot's degree and the new row's top degree,
-    mostly rows of the same degree.
+    mostly rows of the same degree.  Stabilization is the quotient reports'
+    test at their floor window; ``theorem_bound`` is always computed.
     """
     voa = surface.voa
     U = None
@@ -448,12 +438,9 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     for _, d in graded:
         dims[d] += 1
     est = [dims[p] - killed[p] for p in range(d_valid + 1)]
-    stabilized = len(est) >= _STABLE_WINDOW and not any(est[-_STABLE_WINDOW:])
-    bound, provisional = (0, True)
-    if with_bound:
-        bound, provisional = theorem_bound(surface, U)
+    bound, provisional = theorem_bound(surface, U)
     return CoinvariantReport(
-        est, d_valid, sum(est), stabilized, bound, provisional,
+        est, d_valid, sum(est), _stabilized(est, _WINDOW_FLOOR), bound, provisional,
         params={"D": D, "P": P, "w_max": w_max,
                 "points": [str(p) for p in surface.line.points]},
     )

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import TruncatedModel, TruncationError, check_identity
+from .core import TruncatedModel, TruncationError, VerificationError, check_identity
 from .finiteness import SubspaceSpec, complement_U, quotient_report
 from .blocks import (
     LabeledLine,
@@ -34,7 +34,6 @@ from .lattice import (
 )
 from .linalg import qparse, qstr
 from .virasoro import (
-    VerificationError,
     ff_verify,
     irreducible_model,
     minimal_params_values,
@@ -231,11 +230,9 @@ def cmd_quotient(args) -> tuple[dict, dict, int]:
         spec = SubspaceSpec("cn", n=args.n)
     elif args.space == "b1":
         spec = SubspaceSpec("b1")
-    elif args.space == "cmu":
+    else:  # cmu, the last of the parser's choices
         U, _, _ = complement_U(module.voa)
         spec = SubspaceSpec("cmu", m=args.m, U=tuple(U))
-    else:
-        raise SchemaError(f"quotient: unknown space {args.space!r}")
     rep = quotient_report(module, spec, window=args.window)
     result = {"model": module.descriptor(), "space": args.space}
     result.update(rep.to_json())
@@ -463,7 +460,7 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 1
-    except (VerificationError,) as e:
+    except VerificationError as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 2
     except TruncationError as e:

@@ -8,7 +8,7 @@ reduction certificates for a(-q)w with q >= m wt a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -59,12 +59,7 @@ class QuotientReport:
     window: int
 
     def to_json(self) -> dict:
-        return {
-            "per_degree": list(self.per_degree),
-            "cumulative": self.cumulative,
-            "stabilized": self.stabilized,
-            "window": self.window,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +196,32 @@ def _decreasing_monomials(voa: TruncatedModel, U: Sequence[Mapping],
     return out
 
 
+# The default number of top degrees a stabilization verdict reads.
+_WINDOW_FLOOR = 3
+
+
+def _stabilized(per_degree: Sequence[int], window: int) -> bool:
+    """The one stabilization test: the top ``window`` degrees are all zero."""
+    return len(per_degree) >= window and not any(per_degree[-window:])
+
+
 def quotient_report(module: TruncatedModel, spec: SubspaceSpec,
                     window: int | None = None) -> QuotientReport:
-    """Per-degree dims of W/span(spec); stabilized when the tail is zero."""
+    """Per-degree dims of W/span(spec); stabilized when the tail is zero.
+
+    The default window is the floor, or U's top weight if that is larger.
+    """
     if window is None:
         r_u = 0
         if spec.U:
             r_u = max(module.voa.state_degree(u) or 0 for u in spec.U)
-        window = max(3, r_u)
+        window = max(_WINDOW_FLOOR, r_u)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     spans = _graded_spans(module, spec)
     per_degree = [module.dim(d) - ech.rank for d, ech in enumerate(spans)]
-    tail = per_degree[-window:]
-    stabilized = len(per_degree) >= window and all(x == 0 for x in tail)
-    return QuotientReport(per_degree, sum(per_degree), stabilized, window)
+    return QuotientReport(per_degree, sum(per_degree),
+                          _stabilized(per_degree, window), window)
 
 
 def spanning_set_check(model: TruncatedModel, U: Sequence[Mapping]) -> list[bool]:

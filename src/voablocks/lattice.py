@@ -165,7 +165,6 @@ class FockModel(TruncatedModel):
     ):
         lat = EvenLattice(gram, require_even=lattice_enabled)
         self.lattice = lat
-        self.lattice_enabled = lattice_enabled
         r = lat.rank
         self.lam_alpha = _reduce_lambda(lat, lam_dual)
         if not lattice_enabled and any(self.lam_alpha):

@@ -18,7 +18,6 @@ coefficient is already 1 as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -140,12 +139,15 @@ class Echelon:
         return not self.reduce(vec)
 
 
-@dataclass(frozen=True)
 class _Expr:
     """Coordinate carrying the expression weight of input ``index`` in a
-    ``SolverEchelon`` row; a distinct type, so it never equals a real key."""
+    ``SolverEchelon`` row.  It hashes and compares by identity, in C, so it
+    never equals a real key or another row's coordinate."""
 
-    index: object
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        self.index = index
 
 
 def _solver_pivot_key(k):

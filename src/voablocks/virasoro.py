@@ -8,6 +8,7 @@ quotient-ring dimension bounds they imply.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -47,28 +48,14 @@ def _validate_minimal(p: int, q: int, r: int, s: int) -> None:
 # Partitions of module levels
 
 
-def partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """Weakly decreasing positive tuples summing to n."""
-    return _partitions_cached(n, n)
-
-
-_PARTS_CACHE: dict = {}
-
-
-def _partitions_cached(n: int, maxpart: int) -> tuple[tuple[int, ...], ...]:
+@functools.cache
+def partitions(n: int, top: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Weakly decreasing positive tuples summing to n, with parts at most top."""
     if n == 0:
         return ((),)
-    key = (n, maxpart)
-    hit = _PARTS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = []
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _partitions_cached(n - first, first):
-            out.append((first,) + rest)
-    out = tuple(out)
-    _PARTS_CACHE[key] = out
-    return out
+    return tuple((first,) + rest
+                 for first in range(min(n, n if top is None else top), 0, -1)
+                 for rest in partitions(n - first, first))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +133,16 @@ def singular_vectors(c: Fraction, h: Fraction, level: int) -> list[State]:
     return kernel_of((part, image(part)) for part in partitions(level))
 
 
+def _singular_vector(c: Fraction, h: Fraction, level: int) -> State:
+    """The singular vector at the level, which must be unique up to scale."""
+    vecs = singular_vectors(c, h, level)
+    if len(vecs) != 1:
+        raise VerificationError(
+            f"expected a unique singular vector at level {level}, got {len(vecs)}"
+        )
+    return vecs[0]
+
+
 # ---------------------------------------------------------------------------
 # Truncated Virasoro models (Verma or quotients of Verma)
 
@@ -176,19 +173,18 @@ class VirasoroModel(TruncatedModel):
         super().__init__(cutoff, Fraction(h), Fraction(c))
         self.kind = kind
         self.params = params or {}
-        self.c = Fraction(c)
-        self.h = Fraction(h)
-        if voa is not None and voa.central_charge != self.c:
-            raise ValueError(f"central charge {self.c} is not the VOA's {voa.central_charge}")
+        if voa is not None and voa.central_charge != self.central_charge:
+            raise ValueError(f"central charge {self.central_charge} is not the VOA's "
+                             f"{voa.central_charge}")
         if voa is None and not is_voa:
             raise ValueError("a module needs an explicit VOA model")
         self.is_voa = is_voa
         self._voa = voa
         self.vacuum = ()
-        self.action = VermaAction(self.c, self.h)
+        self.action = VermaAction(self.central_charge, self.lowest_weight)
         self._build_quotient(submodule_gens or [])
         if is_voa:
-            if self.h != 0:
+            if self.lowest_weight != 0:
                 raise ValueError("a Virasoro VOA model requires h = 0")
             if any(map(_has_one, self.degrees)):
                 raise VerificationError(
@@ -309,15 +305,8 @@ def irreducible_model(p: int, q: int, r: int, s: int, cutoff: int,
     above the cutoff are vacuously inactive at desk scale.
     """
     c, h = minimal_params_values(p, q, r, s)
-    gens: list[State] = []
-    for lv in {r * s, (q - r) * (p - s)}:
-        if lv <= cutoff:
-            vecs = singular_vectors(c, h, lv)
-            if len(vecs) != 1:
-                raise VerificationError(
-                    f"expected a unique singular vector at level {lv}, got {len(vecs)}"
-                )
-            gens.append(vecs[0])
+    gens = [_singular_vector(c, h, lv) for lv in {r * s, (q - r) * (p - s)}
+            if lv <= cutoff]
     is_vac = h == 0
     if not is_vac and voa is None:
         voa = irreducible_model(p, q, 1, 1, cutoff)
@@ -419,15 +408,9 @@ def ff_verify(p: int, q: int, r: int, s: int) -> Fraction:
     u_{r,s} is normalized so its L_{-1}^{rs} coefficient is 1; returns the
     resulting alpha.  Non-proportionality signals an implementation bug.
     """
-    _validate_minimal(p, q, r, s)
     c, h = minimal_params_values(p, q, r, s)
     level = r * s
-    vecs = singular_vectors(c, h, level)
-    if len(vecs) != 1:
-        raise VerificationError(
-            f"expected a unique singular vector at level {level}, got {len(vecs)}"
-        )
-    u = vecs[0]
+    u = _singular_vector(c, h, level)
     lead = (1,) * level
     if lead not in u or not u[lead]:
         raise VerificationError("singular vector has zero L_{-1}^{rs} coefficient")

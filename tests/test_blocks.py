@@ -385,7 +385,7 @@ def test_estimate_matches_plain_elimination_in_built_order(rs):
     sigma = irreducible_model(4, 3, 2, 2, 10, voa=voa)
     third = sigma if rs == (2, 2) else irreducible_model(4, 3, *rs, 10, voa=voa)
     surface = LabeledLine(PointedLine((0, 1, -1)), [sigma, sigma, third])
-    rep = coinvariant_report(surface, D=10, P=4, with_bound=False)
+    rep = coinvariant_report(surface, D=10, P=4)
     assert rep.est_per_degree == _plain_graded_ranks(surface, 10, 4,
                                                      rep.params["w_max"])
 
@@ -438,3 +438,30 @@ def test_m_constant_and_gaps():
     assert m == 2 and gaps[1] == [1]
     m, gaps = m_constant_and_gaps(1, 2)
     assert m == 2 and gaps == {1: [1], 2: [1]}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LabeledLine(PointedLine((0, 1)), [ising_model(2)]),
+     "one module per marked point"),
+    (lambda: LabeledLine(PointedLine((0, 1)), [ising_model(2), ising_model(2)]),
+     "share one VOA model"),
+    (lambda: MeromorphicSection(-1), "section weight must be nonnegative"),
+    (lambda: MeromorphicSection(1, poles={(0, 0): 1}), "pole orders must be positive"),
+    (lambda: section_basis(PointedLine((0, 1)), 1, [2]), "one nonnegative pole bound"),
+    (lambda: section_basis(PointedLine((0, 1)), 1, [2, -1]), "one nonnegative pole bound"),
+    (lambda: laurent_expand(PointedLine((0,)), MeromorphicSection(1), 1, 3),
+     "invalid point index"),
+    (lambda: laurent_expand(PointedLine((0,)), MeromorphicSection(1), -1, 3),
+     "invalid point index"),
+    # headroom w_max + P - 1 = 3 exceeds D = 2
+    (lambda: coinvariant_report(one_point_ising(4)[0], D=2, P=2, w_max=2),
+     "no valid range below headroom"),
+    (lambda: coinvariant_report(one_point_ising(4)[0], D=6, P=1, w_max=1),
+     "module cutoffs must reach the degree cutoff D"),
+    (lambda: m_constant_and_gaps(0, 0), "r_U must be >= 1"),
+], ids=["module-count", "mixed-voas", "negative-weight", "pole-order-0",
+        "bounds-count", "negative-bound", "point-past-end", "negative-point",
+        "D-below-headroom", "cutoff-below-D", "r_U-0"])
+def test_blocks_rejects_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -330,3 +330,156 @@ def test_a_descriptor_that_is_not_an_object_is_a_schema_error(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"schema error: {prefix}: expected an object")
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    ("VerificationError", 2, "verification failure: "),
+    ("TruncationError", 3, "truncation: "),
+])
+def test_internal_failures_have_their_own_exit_codes(capsys, monkeypatch, error, code, prefix):
+    from voablocks import cli, core
+
+    def failing(args):
+        raise getattr(core, error)("injected")
+
+    monkeypatch.setattr(cli, "cmd_rr_gaps", failing)
+    assert main(["rr", "gaps", "--genus", "0"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}injected\n"
+
+
+def test_lattice_b1check_command(capsys):
+    code, out = run(capsys, "lattice", "b1check", "--gram", "[[2]]", "--lambda", "[1]",
+                    "--cutoff", "6")
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "per_degree_deficiency": [0] * 7, "gamma_size": 2, "ok": True}
+
+
+@pytest.mark.parametrize("space, per_degree, window", [
+    (["cn", "--n", "3"], [1, 0, 1, 1, 1, 1, 0, 0, 0], 3),
+    (["b1"], [1, 0, 0, 0, 0, 0, 0, 0, 0], 3),
+    (["cmu"], [1, 0, 0, 0, 0, 0, 0, 0, 0], 4),  # r_U = 4 widens the window
+])
+def test_quotient_spaces_other_than_c2(capsys, space, per_degree, window):
+    code, out = run(capsys, "quotient", "--model", "ising", "--cutoff", "8",
+                    "--space", *space)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["space"] == space[0]
+    assert result["per_degree"] == per_degree
+    assert result["cumulative"] == sum(per_degree)
+    assert result["stabilized"] is True and result["window"] == window
+
+
+@pytest.mark.parametrize("model, per_degree", [
+    ('{"kind": "virasoro-vacuum", "c": "1/2"}', [1, 0, 1, 0, 1, 0, 1]),  # C[omega]
+    ('{"kind": "virasoro-verma", "c": "1/2", "h": "1/16"}', [1, 1, 2, 2, 3, 3, 4]),
+    ('{"kind": "heisenberg", "rank": 2}', [1, 2, 3, 4, 5, 6, 7]),  # C[h1, h2]
+], ids=["vacuum", "verma", "heisenberg"])
+def test_quotient_on_every_model_kind(capsys, model, per_degree):
+    code, out = run(capsys, "quotient", "--space", "c2", "--model", model,
+                    "--cutoff", "6")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["model"]["kind"] == json.loads(model)["kind"]
+    assert result["per_degree"] == per_degree
+    assert result["stabilized"] is False
+
+
+@pytest.mark.parametrize("model, message", [
+    ('{"kind": "virasoro-verma", "c": "1/2"}',
+     "model: missing field 'h' for kind 'virasoro-verma'"),
+    ('{"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1}',
+     "model: missing field 's' for kind 'virasoro-irreducible'"),
+    ('{"kind": "monster"}', "model: unknown kind 'monster'"),
+    ('{"c": "1/2"}', "model: unknown kind None"),
+])
+def test_a_model_with_a_missing_field_or_unknown_kind_is_a_schema_error(
+        capsys, model, message):
+    assert main(["quotient", "--space", "c2", "--model", model, "--cutoff", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"schema error: {message}\n"
+
+
+def test_a_toml_model_file(tmp_path, capsys):
+    path = tmp_path / "ising.toml"
+    path.write_text('kind = "virasoro-irreducible"\np = 4\nq = 3\nr = 1\ns = 1\n')
+    code, out = run(capsys, "quotient", "--space", "c2", "--model", str(path),
+                    "--cutoff", "8")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["model"]["kind"] == "virasoro-irreducible"
+    assert result["cumulative"] == 3 and result["stabilized"] is True
+
+
+@pytest.mark.parametrize("name, body, message", [
+    ("absent.json", None, "cannot read"),
+    ("broken.json", '{"kind": "lattice", ', "failed to parse"),
+    ("broken.toml", "kind = = 1\n", "failed to parse"),
+])
+def test_an_unreadable_or_unparsable_model_file_is_a_schema_error(
+        tmp_path, capsys, name, body, message):
+    path = tmp_path / name
+    if body is not None:
+        path.write_text(body)
+    assert main(["quotient", "--space", "c2", "--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"schema error: model: {message} {str(path)!r}: ")
+
+
+def test_virasoro_singular_from_c_and_h(capsys):
+    code, out = run(capsys, "virasoro", "singular", "--c", "1/2", "--h", "1/16",
+                    "--level", "2")
+    assert code == 0
+    result = json.loads(out)["result"]
+    # L_{-1}^2 - 2(2h+1)/3 L_{-2} at h = 1/16
+    assert result == {"c": "1/2", "h": "1/16", "level": 2, "dimension": 1,
+                      "vectors": [{"1,1": "1", "2": "-3/4"}]}
+
+
+def test_virasoro_singular_p_without_q_r_s_is_a_schema_error(capsys):
+    assert main(["virasoro", "singular", "-p", "4", "-q", "3", "--level", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "schema error: virasoro: -p requires -q, -r, -s as well\n"
+
+
+A1_PAIR = {"points": ["0", "1"], "voa": {"kind": "lattice", "gram": [[2]]},
+           "D": 4, "P": 2, "w_max": 1}
+
+
+@pytest.mark.parametrize("labels, est", [
+    ([{"lambda": [1]}, {"lambda": [1]}], [1, 0, 0]),  # w1 + w1 lies in L
+    ([{"lambda": [1]}, "vacuum"], [0, 0, 0]),  # w1 does not
+])
+def test_blocks_dim_with_lattice_labels(tmp_path, capsys, labels, est):
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps({**A1_PAIR, "labels": labels}))
+    code, out = run(capsys, "blocks", "dim", "--config", str(path))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["est_per_degree"] == est and result["total"] == sum(est)
+    assert result["total"] <= result["theorem_bound"]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({**A1_PAIR, "labels": [{"r": 2, "s": 2}, "vacuum"]},
+     "blocks: cannot interpret label {'r': 2, 's': 2} over a lattice model"),
+    ({**A1_PAIR, "labels": ["sigma", "vacuum"]},
+     "blocks: cannot interpret label 'sigma' over a lattice model"),
+    ({"points": ["0"], "labels": ["vacuum"], "P": 2,
+      "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}},
+     "config: missing field 'D'"),
+], ids=["virasoro-label", "string-label", "no-D"])
+def test_blocks_dim_rejects_uninterpretable_labels_and_missing_fields(
+        tmp_path, capsys, config, message):
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(config))
+    assert main(["blocks", "dim", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"schema error: {message}\n"

@@ -139,7 +139,7 @@ BASIS_MODELS = {
 def _label_weight(model, lab):
     """L_0 weight read off the label: h + |part| (Virasoro), |λ+γ|²/2 + Σn (Fock)."""
     if isinstance(model, VirasoroModel):
-        return model.h + sum(lab)
+        return model.lowest_weight + sum(lab)
     heis, gamma = lab
     mu = tuple(l + g for l, g in zip(model.lam_alpha, gamma))
     return model.lattice.halfnorm(mu) + sum(n for n, _ in heis)
@@ -259,3 +259,20 @@ def test_a_module_over_a_different_voa_is_rejected(build, message):
 def test_a_module_without_a_voa_is_rejected(build):
     with pytest.raises(ValueError, match="a module needs an explicit VOA model"):
         build()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda voa: voa.state_degree({(): Fraction(1), (2,): Fraction(1)}),
+     "state is not homogeneous"),
+    (lambda voa: check_identity(voa, "jacobi", a=voa.omega, w={(): Fraction(1)}),
+     "unknown identity kind 'jacobi'"),
+    (lambda voa: is_quasi_primary_generated(irreducible_model(4, 3, 2, 2, 4, voa=voa)),
+     "property of VOA models"),
+], ids=["mixed-state", "unknown-identity", "module"])
+def test_core_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(ising_model(4))
+
+
+def test_the_zero_state_has_no_degree():
+    assert ising_model(4).state_degree({}) is None

@@ -401,3 +401,22 @@ def test_c2_quotient_dimension_matches_gaberdiel_gannon(p, q):
 def test_quotient_report_rejects_window_below_one(window):
     with pytest.raises(ValueError, match="window"):
         quotient_report(ising_model(cutoff=4), SubspaceSpec("cn", n=2), window=window)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda voa, sigma: complement_U(sigma), "complement_U expects a VOA model"),
+    (lambda voa, sigma: spanning_set_check(sigma, []),
+     "spanning_set_check expects a VOA model"),
+    (lambda voa, sigma: bound_k(0, 1), "s_U and m must be positive"),
+    (lambda voa, sigma: bound_k(1, 0), "s_U and m must be positive"),
+    # the vacuum has weight 0, below every certificate's reach
+    (lambda voa, sigma: reduce_certificate(voa, {(): Fraction(1)}, 2, {(): Fraction(1)},
+                                           complement_U(voa)[0], 1),
+     "reduction requires homogeneous a of positive weight"),
+], ids=["complement-of-module", "spanning-of-module", "bound-s_U-0", "bound-m-0",
+        "weight-0-a"])
+def test_finiteness_rejects_bad_input(call, message):
+    voa = ising_model(6)
+    sigma = irreducible_model(4, 3, 2, 2, 6, voa=voa)
+    with pytest.raises(ValueError, match=message):
+        call(voa, sigma)

@@ -374,3 +374,17 @@ def test_annihilation_product_matches_the_exponential_series(beta):
         for heis in _colored_partitions(degree, 2):
             assert model._annihilate(heis, beta) == _annihilate_series(
                 model.lattice, heis, beta)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EvenLattice([[2, 1]]), "Gram matrix must be square"),
+    (lambda: EvenLattice([[2, 1], [1]]), "Gram matrix must be square"),
+    (lambda: lattice_model([[2]], ["one"]), "lambda must be a list of integers"),
+    (lambda: lattice_model([[2]], [None]), "lambda must be a list of integers"),
+    # on Gram [[2]], lambda = [1] is alpha/2, a nonzero momentum
+    (lambda: FockModel([[2]], [1], 4, lattice_enabled=False),
+     "free-boson model supports only the zero momentum"),
+], ids=["row-too-long", "row-too-short", "lambda-string", "lambda-none", "free-boson"])
+def test_lattice_rejects_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

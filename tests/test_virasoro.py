@@ -257,7 +257,7 @@ def test_quotient_basis_is_the_non_pivot_monomials(p, q, r, s, cutoff):
 
 def _closure_pivot_rows(model, gens):
     """Submodule RREF from a breadth-first closure of gens under every L_{-m}."""
-    act = VermaAction(model.c, model.h)
+    act = VermaAction(model.central_charge, model.lowest_weight)
     subs = {}
     for d in range(model.cutoff + 1):
         order = sorted(partitions(d), key=lambda p: (bool(p) and p[-1] == 1, p))
@@ -497,3 +497,14 @@ def test_submodule_is_the_maximal_one_by_an_independent_oracle(p, q, r, s, cutof
         assert maps[d].shape[0] == len(parts) - len(rows), d
         if rows:
             assert (maps[d] * _qq_matrix(rows, parts).transpose()).is_zero_matrix, d
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: virasoro.VirasoroModel(Fraction(1, 2), Fraction(1, 16), 4, is_voa=True),
+     "a Virasoro VOA model requires h = 0"),
+    (lambda: feigin_fuchs(0, 1), "r, s must be positive"),
+    (lambda: feigin_fuchs(2, -1), "r, s must be positive"),
+], ids=["voa-with-h", "ff-r-0", "ff-s-negative"])
+def test_virasoro_rejects_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
