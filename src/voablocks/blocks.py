@@ -16,9 +16,9 @@ from typing import Mapping, Sequence
 from .core import (
     TruncatedModel,
     TruncationError,
+    _mode_label,
     binom,
     l1_apply,
-    mode_apply,
     quasi_primary_space,
 )
 from .finiteness import (_WINDOW_FLOOR, SubspaceSpec, _stabilized, complement_U,
@@ -198,11 +198,13 @@ def slot_matrices(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
             # a(n)w vanishes for n > wt a + deg w - 1 (its degree is < 0).
             coeffs = laurent_expand(surface.line, f, i,
                                     wt_a + max(degrees.values()) - 1)
+            # The cached images are shared with the mode cache: read only.
             for lab, deg in degrees.items():
                 img: dict = {}
                 for n, c in coeffs.items():
                     if n < wt_a + deg:
-                        vec_add_scaled(img, mode_apply(mod, a, n, {lab: Fraction(1)}), c)
+                        for alab, ac in a.items():
+                            vec_add_scaled(img, _mode_label(mod, alab, n, lab), ac * c)
                 mat[lab] = img
         out.append(mat)
     return out
@@ -425,12 +427,19 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     # to the echelon form as it grows.
     ech = Echelon()
     for i, (_, o, s) in enumerate(order):
-        rel = _tensor_image(ops[o], graded[s][0])
+        labs, d = graded[s]
+        rel: dict = {}
+        for j, (dg, mat) in enumerate(zip(degree, ops[o])):
+            # _tensor_image's slot-j terms, keyed for the pivot: an image
+            # differs from labs in slot j alone, so its degree is d plus
+            # that slot's change.
+            top = D - d + dg[labs[j]]
+            vec_add_scaled(rel, {(top - dg[lab2], labs[:j] + (lab2,) + labs[j + 1:]): c
+                                 for lab2, c in mat[labs[j]].items()}, 1)
         if last[o] == i:
             ops[o] = None
         if rel:
-            ech.add({(D - sum(dg[lab] for dg, lab in zip(degree, k)), k): v
-                     for k, v in rel.items()})
+            ech.add(rel)
     killed = [0] * (D + 1)
     for (dk, _labs) in ech.pivot_rows:
         killed[D - dk] += 1

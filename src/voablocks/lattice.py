@@ -270,9 +270,10 @@ class FockModel(TruncatedModel):
             p = -n - 1 - s - drop
             if p < 0:
                 continue
-            for mon, acf in self._creation(beta, p).items():
-                final = tuple(sorted(h2 + mon, reverse=True))
-                vec_add_scaled(out, {(final, gamma2): Fraction(1)}, sign * cf * acf)
+            # For a fixed h2, distinct creation monomials give distinct labels.
+            vec_add_scaled(out, {(tuple(sorted(h2 + mon, reverse=True)), gamma2): acf
+                                 for mon, acf in self._creation(beta, p).items()},
+                           sign * cf)
         return out
 
     def _annihilate(self, heis: tuple, beta: tuple) -> dict:
@@ -286,13 +287,14 @@ class FockModel(TruncatedModel):
         Returns (remaining monomial, x-exponent dropped) -> coefficient.
         """
         pair = self.lattice.pairings(beta)
-        out: dict = {((), 0): Fraction(1)}
+        one = Fraction(1)
+        out: dict = {((), 0): one}
         for m, c in heis:
+            neg_pair = Fraction(-pair[c])
             nxt: dict = {}
             for (h, q), cf in out.items():
                 # Kept factors stay in the monomial's weakly decreasing order.
-                vec_add_scaled(nxt, {(h + ((m, c),), q): Fraction(1),
-                                     (h, q - m): Fraction(-pair[c])}, cf)
+                vec_add_scaled(nxt, {(h + ((m, c),), q): one, (h, q - m): neg_pair}, cf)
             out = nxt
         return out
 

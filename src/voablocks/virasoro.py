@@ -101,8 +101,7 @@ class VermaAction:
                     vec_add_scaled(out, self._L(-n1, lab), cf)
                 coeff = Fraction(m + n1)
                 if coeff:
-                    for lab, cf in self._L(m - n1, rest).items():
-                        vec_add_scaled(out, {lab: cf}, coeff)
+                    vec_add_scaled(out, self._L(m - n1, rest), coeff)
                 if m == n1:
                     central = self.c / 12 * (m**3 - m)
                     if central:

@@ -225,6 +225,35 @@ def test_slot_maps_match_per_tensor_oracle(build):
         assert bracket_closure_check(surface, op1, op2)
 
 
+def _a1_weight_three():
+    voa = lattice_model([[2]], cutoff=6)
+    omega1 = lattice_model([[2]], [1], cutoff=6, voa=voa)
+    return LabeledLine(PointedLine((0, 1)), [omega1, voa]), 3
+
+
+def _ising_weight_four():
+    voa = ising_model(10)
+    sigma = irreducible_model(4, 3, 2, 2, 10, voa=voa)
+    return LabeledLine(PointedLine((0, 1)), [sigma, voa]), 4
+
+
+@pytest.mark.parametrize("build", [_a1_weight_three, _ising_weight_four])
+def test_qgvo_matches_oracle_on_multi_label_states(build):
+    # Slot maps add each label's cached image scaled by its coefficient in
+    # the state; the oracle applies the whole state one tensor at a time.
+    surface, wt = build()
+    states = [a for a in quasi_primary_space(surface.voa, wt) if len(a) > 1]
+    assert states
+    labels = [[lab for d in range(3) for lab in m.labels_at(d)] for m in surface.modules]
+    sections = section_basis(surface.line, wt, [1, 1])
+    assert sections
+    for a in states:
+        for f in sections:
+            for labs in itertools.product(*labels):
+                w = {labs: Fraction(1)}
+                assert qgvo_apply(surface, a, f, w) == _brute_qgvo(surface, a, f, w)
+
+
 def _candidate_family(surface, op1, op2, dom_labels):
     """Slot maps of the candidates bracket_closure_check spans."""
     (a, f), (b, g) = op1, op2
@@ -388,6 +417,22 @@ def test_estimate_matches_plain_elimination_in_built_order(rs):
     rep = coinvariant_report(surface, D=10, P=4)
     assert rep.est_per_degree == _plain_graded_ranks(surface, 10, 4,
                                                      rep.params["w_max"])
+
+
+@pytest.mark.parametrize("build", [_ising_two_point, _a1_module_two_point])
+def test_blocks_leave_the_mode_cache_unchanged(build):
+    # Slot maps and relation rows read the cached per-label images in place;
+    # an earlier entry must keep its value and key order.
+    surface, pairs = build()
+    models = list(dict.fromkeys([*surface.modules, surface.voa]))
+    coinvariant_report(surface, D=6, P=2)
+    before = [(m, {k: list(v.items()) for k, v in m._mode_cache.items()}) for m in models]
+    assert any(entries for _, entries in before)
+    coinvariant_report(surface, D=6, P=2)
+    for op1, op2 in pairs:
+        assert bracket_closure_check(surface, op1, op2)
+    for m, entries in before:
+        assert {k: list(m._mode_cache[k].items()) for k in entries} == entries
 
 
 def test_theorem_bound_ising_vacuum():

@@ -10,6 +10,7 @@ from voablocks.core import check_identity, mode_apply
 from voablocks.lattice import (
     EvenLattice,
     FockModel,
+    _cocycle_sign,
     _colored_partitions,
     b1_span_check,
     gamma_set,
@@ -18,7 +19,7 @@ from voablocks.lattice import (
     short_vectors,
     single_jump_check,
 )
-from voablocks.linalg import Echelon
+from voablocks.linalg import Echelon, vec_add_scaled
 from voablocks.virasoro import VerificationError
 
 rng = random.Random(20240818)
@@ -374,6 +375,51 @@ def test_annihilation_product_matches_the_exponential_series(beta):
         for heis in _colored_partitions(degree, 2):
             assert model._annihilate(heis, beta) == _annihilate_series(
                 model.lattice, heis, beta)
+
+
+def _e_mode_per_term(model, beta, n, label):
+    """e^beta(n) on a basis label, one multiply-add per (annihilation term,
+    creation monomial) pair: the earlier form of FockModel._e_mode."""
+    heis, gamma = label
+    lat = model.lattice
+    r = lat.rank
+    mu = tuple(model.lam_alpha[k] + gamma[k] for k in range(r))
+    s = int(lat.inner(beta, mu))
+    sign = _cocycle_sign(lat, beta, gamma)
+    gamma2 = tuple(gamma[k] + beta[k] for k in range(r))
+    out: dict = {}
+    for (h2, drop), cf in model._annihilate(heis, beta).items():
+        p = -n - 1 - s - drop
+        if p < 0:
+            continue
+        for mon, acf in model._creation(beta, p).items():
+            final = tuple(sorted(h2 + mon, reverse=True))
+            vec_add_scaled(out, {(final, gamma2): Fraction(1)}, sign * cf * acf)
+    return out
+
+
+@pytest.mark.parametrize("gram, lam, cutoff", [
+    (A1, None, 6), (A1, [1], 6), (A2, None, 3), (A2, [1, 0], 3), ([[4]], [1], 6),
+])
+def test_momentum_modes_match_the_per_term_sum(gram, lam, cutoff):
+    # Same values and the same key order as one multiply-add per term.
+    model = lattice_model(gram, lam, cutoff=cutoff)
+    voa = model.voa
+    gens = [lab for d in range(1, cutoff + 1) for lab in voa.labels_at(d)
+            if not lab[0] and voa.decompose(lab) == ("gen",)]
+    assert gens
+    checked = 0
+    for gen in gens:
+        wt = voa.degree_of(gen)
+        for d in range(cutoff + 1):
+            for label in model.labels_at(d):
+                # deg e^beta(n)label = wt + d - n - 1 must lie in [0, cutoff].
+                for n in range(wt + d - 1 - cutoff, wt + d):
+                    got = model.gen_mode(gen, n, label)
+                    want = _e_mode_per_term(model, gen[1], n, label)
+                    assert list(got.items()) == list(want.items())
+                    checked += bool(got)
+    assert checked
 
 
 @pytest.mark.parametrize("build, message", [
