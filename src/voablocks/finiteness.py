@@ -100,76 +100,61 @@ def complement_U(model: TruncatedModel) -> tuple[list[State], int, int]:
 # Degreewise spans
 
 
-def _span_terms(module: TruncatedModel, spec: SubspaceSpec):
-    """Recipes (d, a_state, n, wlab) of the generators a(-n)wlab of the span.
+def _span_terms(module: TruncatedModel, spec: SubspaceSpec, d: int):
+    """Recipes (a_state, n, wlab) of the generators a(-n)wlab of degree d.
 
-    Completeness per degree d follows from the grading equation
-    d = deg a + deg w + n - 1, which bounds every index by the cutoff.
-    The vacuum never appears as a generator state: its only nonzero mode
-    is the identity, which would trivialize the m = 1 quotients.  No mode
-    is applied here, so a caller builds only the generators it needs.
+    The grading equation d = deg a + deg w + n - 1 fixes deg w, so every
+    recipe of the degree is listed, in order of a's weight (U's order for
+    "cmu"), a's label, n and w's label.  The vacuum never appears as a
+    generator state: its only nonzero mode is the identity, which would
+    trivialize the m = 1 quotients.  No mode is applied here, so a caller
+    builds only the generators it needs.
     """
     voa = module.voa
-    cutoff = module.cutoff
-
-    def terms(a_state: Mapping, n: int):
-        wt_a = voa.state_degree(a_state)
-        if wt_a is None:
-            return
-        for dw in range(cutoff + 1):
-            d = wt_a + dw + n - 1
-            if d > cutoff:
-                break
-            for wlab in module.labels_at(dw):
-                yield d, a_state, n, wlab
-
-    if spec.kind == "cn":
-        for wa in range(1, cutoff + 2 - spec.n + 1):
-            for alab in voa.labels_at(wa):
-                yield from terms({alab: Fraction(1)}, spec.n)
-    elif spec.kind == "b1":
-        for wa in range(1, cutoff + 1):
-            for alab in voa.labels_at(wa):
-                yield from terms({alab: Fraction(1)}, 1)
-    else:  # cmu
-        for u in spec.U:
-            wt = voa.state_degree(u)
-            if not wt:
-                continue  # vacuum excluded
-            for n in range(spec.m, cutoff + 2 - wt):
-                yield from terms(u, n)
+    if spec.kind == "cmu":
+        heads = [(u, wt, n) for u in spec.U if (wt := voa.state_degree(u))
+                 for n in range(spec.m, d + 2 - wt)]
+    else:
+        n = spec.n if spec.kind == "cn" else 1
+        heads = [({alab: Fraction(1)}, wa, n) for wa in range(1, d + 2 - n)
+                 for alab in voa.labels_at(wa)]
+    for a_state, wt_a, n in heads:
+        for wlab in module.labels_at(d - wt_a - n + 1):
+            yield a_state, n, wlab
 
 
 def _graded_spans(module: TruncatedModel, spec: SubspaceSpec | None,
                   seeds: Iterable[tuple[int, State]] = ()) -> list[Echelon]:
     """One echelon per degree, spanning the seeds (d, v) and spec's generators.
 
-    A generator a(-n)w is built only while the rank of its degree is below
+    Each degree walks its own recipes and stops once its rank reaches
     dim W(d).  This is exact: at full rank every further ``add`` returns
     False and leaves the echelon unchanged, so the ranks are those of the
     whole ``subspace_span`` list.  A generator that is never needed is
     never built, so it can no longer raise a ``TruncationError``.
     """
-    dims = [module.dim(d) for d in range(module.cutoff + 1)]
-    spans = [Echelon() for _ in dims]
+    spans = [Echelon() for _ in range(module.cutoff + 1)]
     for d, vec in seeds:
         spans[d].add(vec)
-    for d, a_state, n, wlab in _span_terms(module, spec) if spec else ():
-        if spans[d].rank < dims[d]:
+    for d, ech in enumerate(spans) if spec else ():
+        for a_state, n, wlab in _span_terms(module, spec, d):
+            if ech.rank == module.dim(d):
+                break
             vec = mode_apply(module, a_state, -n, {wlab: Fraction(1)})
             if vec:
-                spans[d].add(vec)
+                ech.add(vec)
     return spans
 
 
 def subspace_span(module: TruncatedModel, spec: SubspaceSpec) -> list[tuple[int, State]]:
-    """Complete graded generator list (d, a(-n)w) of the subspace up to cutoff."""
-    out: list[tuple[int, State]] = []
-    for d, a_state, n, wlab in _span_terms(module, spec):
-        vec = mode_apply(module, a_state, -n, {wlab: Fraction(1)})
-        if vec:
-            out.append((d, vec))
-    return out
+    """Complete graded generator list (d, a(-n)w) of the subspace up to cutoff.
+
+    The list runs degree by degree; within a degree it keeps ``_span_terms``'
+    order, and a zero generator is left out.
+    """
+    return [(d, vec) for d in range(module.cutoff + 1)
+            for a_state, n, wlab in _span_terms(module, spec, d)
+            if (vec := mode_apply(module, a_state, -n, {wlab: Fraction(1)}))]
 
 
 def _decreasing_monomials(voa: TruncatedModel, U: Sequence[Mapping],
@@ -273,44 +258,38 @@ class ReductionCertificate:
         return self.replay(module) == target
 
 
-class _UDecomposer:
-    """Per-weight solver expressing a as (U part) + (C2 generator part)."""
+def _u_split(voa: TruncatedModel, U: Sequence[Mapping]):
+    """split(a) = (U part, C2 part) with a = sum lam_u * U[u] + sum mu_(b',c) * b'(-2)c.
 
-    def __init__(self, voa: TruncatedModel, U: Sequence[Mapping]):
-        self.voa = voa
-        self.U = [dict(u) for u in U]
-        self._solvers: dict[int, SolverEchelon] = {}
+    Each weight's solver holds that weight's U vectors first, then its C2
+    recipes until the rank is full; a further pair could change no row.
+    """
+    c2 = SubspaceSpec("cn", n=2)
+    solvers: dict[int, SolverEchelon] = {}
 
-    def _solver(self, weight: int) -> SolverEchelon:
-        se = self._solvers.get(weight)
-        if se is not None:
-            return se
-        se = SolverEchelon()
-        for idx, u in enumerate(self.U):
-            if self.voa.state_degree(u) == weight:
-                se.add(u, ("u", idx))
-        # The C2 recipes of this weight, in order of wt a and then label;
-        # only the vacuum is missing, and its a(-2)b is zero.
-        full = self.voa.dim(weight)
-        for d, a_state, n, blab in _span_terms(self.voa, SubspaceSpec("cn", n=2)):
-            if se.rank == full:
-                break  # no further pair can raise the rank or change a row
-            if d == weight:
-                vec = mode_apply(self.voa, a_state, -n, {blab: Fraction(1)})
+    def split(a: Mapping) -> tuple[dict, dict]:
+        wt = voa.state_degree(a)
+        se = solvers.get(wt)
+        if se is None:
+            se = solvers[wt] = SolverEchelon()
+            for idx, u in enumerate(U):
+                if voa.state_degree(u) == wt:
+                    se.add(u, ("u", idx))
+            for a_state, n, blab in _span_terms(voa, c2, wt):
+                if se.rank == voa.dim(wt):
+                    break
+                vec = mode_apply(voa, a_state, -n, {blab: Fraction(1)})
                 if vec:
                     (alab,) = a_state
                     se.add(vec, ("c2", alab, blab))
-        self._solvers[weight] = se
-        return se
-
-    def split(self, a: Mapping) -> tuple[dict, dict]:
-        """a = sum lam_u * U[u] + sum mu_(b',c) * b'(-2)c, exactly."""
-        expr = self._solver(self.voa.state_degree(a)).solve(a)
+        expr = se.solve(a)
         if expr is None:
             raise VerificationError("U does not complement C2(V) at this weight")
         u_part = {k[1]: v for k, v in expr.items() if k[0] == "u"}
         c2_part = {(k[1], k[2]): v for k, v in expr.items() if k[0] == "c2"}
         return u_part, c2_part
+
+    return split
 
 
 def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
@@ -327,7 +306,7 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
         for lab in state:
             model.degree_of(lab)  # raises ValueError on a non-basis label
     cert = ReductionCertificate(dict(a), q, dict(w), m)
-    dec = _UDecomposer(voa, U)
+    split = _u_split(voa, U)
 
     def rec(a_state: Mapping, qq: int, w_state: Mapping, scale: Fraction) -> None:
         if not scale or not a_state or not w_state:
@@ -337,7 +316,7 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
             raise ValueError("reduction requires homogeneous a of positive weight")
         if qq < m * wt_a:
             raise ValueError(f"precondition q >= m wt a violated: {qq} < {m * wt_a}")
-        u_part, c2_part = dec.split(a_state)
+        u_part, c2_part = split(a_state)
         for uidx, lam in u_part.items():
             cert.entries.append((dict(U[uidx]), qq, dict(w_state), scale * lam))
         for (bplab, clab), mu in c2_part.items():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from voablocks.core import mode_apply, quasi_primary_space
 from voablocks.finiteness import (
     SubspaceSpec,
-    _UDecomposer,
+    _u_split,
     bound_k,
     complement_U,
     quotient_report,
@@ -364,12 +364,16 @@ def test_spanning_set_check_matches_exhaustive_oracle(make, drop_last, expected)
     assert spanning_set_check(model, U) == _spanning_exhaustive(model, U) == expected
 
 
-def test_u_split_matches_exhaustive_solver():
+@pytest.mark.parametrize("make", [lambda: ising_model(10),
+                                  lambda: irreducible_model(5, 3, 1, 1, 9),
+                                  lambda: lattice_model([[2]], cutoff=6)],
+                         ids=["ising", "p5q3", "a1"])
+def test_u_split_matches_exhaustive_solver(make):
     # The per-weight solver stops adding C2 pairs at full rank; every split
     # must equal the one of a solver that was given all of them.
-    m = ising_model(cutoff=10)
+    m = make()
     U, _, _ = complement_U(m)
-    dec = _UDecomposer(m, U)
+    split = _u_split(m, U)
     for wt in range(1, m.cutoff + 1):
         se = SolverEchelon()
         for idx, u in enumerate(U):
@@ -385,7 +389,92 @@ def test_u_split_matches_exhaustive_solver():
             expr = se.solve({lab: Fraction(1)})
             u_part = {k[1]: v for k, v in expr.items() if k[0] == "u"}
             c2_part = {(k[1], k[2]): v for k, v in expr.items() if k[0] == "c2"}
-            assert dec.split({lab: Fraction(1)}) == (u_part, c2_part)
+            assert split({lab: Fraction(1)}) == (u_part, c2_part)
+
+
+def test_certificate_rejects_u_that_misses_a_weight():
+    # Without its weight-4 vector U no longer complements C2(V) at weight 4,
+    # so that vector itself cannot be split.
+    voa, U = _ising_12_and_u()
+    (u4,) = [u for u in U if voa.state_degree(u) == 4]
+    short = [u for u in U if voa.state_degree(u) != 4]
+    with pytest.raises(VerificationError, match="U does not complement C2"):
+        reduce_certificate(voa, u4, 8, voa.basis_state(()), short, m=2)
+
+
+def test_certificates_replay_on_the_a1_lattice():
+    # Every basis a of degree 1-3 and w of degree 0-2 on A1, m = 1, at
+    # q = wt a and q = wt a + 1 where a(-q)w stays within the cutoff.
+    voa = lattice_model([[2]], cutoff=8)
+    U, _, _ = complement_U(voa)
+    count = 0
+    for deg_a in (1, 2, 3):
+        for q in (deg_a, deg_a + 1):
+            for deg_w in (0, 1, 2):
+                if deg_a + q - 1 + deg_w > voa.cutoff:
+                    continue
+                for alab in voa.labels_at(deg_a):
+                    for wlab in voa.labels_at(deg_w):
+                        a, w = voa.basis_state(alab), voa.basis_state(wlab)
+                        cert = reduce_certificate(voa, a, q, w, U, m=1)
+                        assert cert.replay(voa) == mode_apply(voa, a, -q, w)
+                        assert all(n >= 1 for _, n, _, _ in cert.entries)
+                        count += 1
+    assert count == 2 * 112  # every (a, w) pair fits at both q
+
+
+def _span_by_enumeration(module, spec):
+    """Every nonzero a(-n)w of degree <= cutoff that spec admits, by brute force.
+
+    Walks a over the VOA basis by weight and label (U in its order for
+    "cmu"), every n, and w over the module basis by degree and label, then
+    keeps the triples whose degree deg a + deg w + n - 1 is within the
+    cutoff; the result is stably sorted by degree.
+    """
+    voa, cutoff = module.voa, module.cutoff
+    if spec.kind == "cmu":
+        heads = [(u, range(spec.m, cutoff + 2)) for u in spec.U]
+    else:
+        ns = [spec.n] if spec.kind == "cn" else [1]
+        heads = [(voa.basis_state(lab), ns) for wa in range(voa.cutoff + 1)
+                 for lab in voa.labels_at(wa)]
+    out = []
+    for a, ns in heads:
+        wt_a = voa.state_degree(a)
+        if wt_a == 0:
+            continue  # the vacuum is no generator of any of these spans
+        for n in ns:
+            for dw in range(cutoff + 1):
+                d = wt_a + dw + n - 1
+                for wlab in module.labels_at(dw) if d <= cutoff else ():
+                    vec = mode_apply(module, a, -n, {wlab: Fraction(1)})
+                    if vec:
+                        out.append((d, vec))
+    return sorted(out, key=lambda t: t[0])
+
+
+@functools.cache
+def _recipe_module(name):
+    if name == "ising":
+        return ising_model(8)
+    if name == "sigma":
+        return irreducible_model(4, 3, 2, 2, 8)
+    return lattice_model([[2]], cutoff=6)
+
+
+@pytest.mark.parametrize("kind", ["c2", "c3", "b1", "cmu"])
+@pytest.mark.parametrize("name", ["ising", "sigma", "a1"])
+def test_subspace_span_matches_brute_force_enumeration(name, kind):
+    # Same (d, vec) list, so the same multiset and, within each degree, the
+    # order of a's weight, a's label, n and w's label.
+    module = _recipe_module(name)
+    spec = {"c2": SubspaceSpec("cn", n=2), "c3": SubspaceSpec("cn", n=3),
+            "b1": SubspaceSpec("b1"),
+            "cmu": SubspaceSpec("cmu", m=1, U=tuple(complement_U(module.voa)[0]))}[kind]
+    got = subspace_span(module, spec)
+    assert [d for d, _ in got] == sorted(d for d, _ in got)
+    assert ([(d, list(v.items())) for d, v in got]
+            == [(d, list(v.items())) for d, v in _span_by_enumeration(module, spec)])
 
 
 @pytest.mark.parametrize("p, q", [(5, 3), (7, 2), (5, 4), (9, 2)])
