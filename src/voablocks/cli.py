@@ -68,6 +68,15 @@ def _object(value, prefix: str) -> dict:
     return value
 
 
+def _integer(value, where: str, low: int | None = None) -> int:
+    """value itself, if it is an int (not a bool) of at least low; else a schema error."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)):
+        bound = {None: "an", 0: "a nonnegative", 1: "a positive"}[low]
+        raise SchemaError(f"{where} must be {bound} integer, got {value!r}")
+    return value
+
+
 def _read_object(path: str, prefix: str) -> dict:
     """The object in a JSON file, or in a TOML file if path ends in .toml."""
     try:
@@ -105,12 +114,12 @@ def build_model(desc: dict, cutoff: int) -> TruncatedModel:
         if kind == "virasoro-verma":
             return verma_model(qparse(desc["c"]), qparse(desc["h"]), cutoff)
         if kind == "virasoro-irreducible":
-            return irreducible_model(int(desc["p"]), int(desc["q"]),
-                                     int(desc["r"]), int(desc["s"]), cutoff)
+            return irreducible_model(*(_integer(desc[f], f"model: field {f!r}")
+                                       for f in "pqrs"), cutoff)
         if kind == "lattice":
             return lattice_model(desc["gram"], desc.get("lambda"), cutoff)
         if kind == "heisenberg":
-            return heisenberg_model(int(desc.get("rank", 1)), cutoff)
+            return heisenberg_model(_integer(desc.get("rank", 1), "model: field 'rank'"), cutoff)
     except KeyError as e:
         raise SchemaError(f"model: missing field {e} for kind {kind!r}")
     raise SchemaError(f"model: unknown kind {kind!r}")
@@ -281,8 +290,8 @@ def _build_label_module(voa: TruncatedModel, label, cutoff: int):
     if isinstance(label, dict):
         if voa.kind == "virasoro-irreducible" and set(label) == {"r", "s"}:
             return irreducible_model(voa.params["p"], voa.params["q"],
-                                     int(label["r"]), int(label["s"]),
-                                     cutoff, voa=voa)
+                                     *(_integer(label[f], f"blocks: label field {f!r}")
+                                       for f in "rs"), cutoff, voa=voa)
         if voa.kind == "lattice" and set(label) == {"lambda"}:
             gram = [list(row) for row in voa.lattice.gram]
             return lattice_model(gram, label["lambda"], cutoff, voa=voa)
@@ -299,12 +308,8 @@ def cmd_blocks_dim(args) -> tuple[dict, dict, int]:
         if not isinstance(config[field], list):
             raise SchemaError(f"config: field {field!r} must be a list, "
                               f"got {config[field]!r}")
-    for field, low, kind in (("D", 0, "nonnegative"), ("P", 0, "nonnegative"),
-                             ("w_max", 1, "positive")):
-        value = config.get(field, low)  # only w_max may be absent
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise SchemaError(f"config: field {field!r} must be a {kind} "
-                              f"integer, got {value!r}")
+    for field, low in (("D", 0), ("P", 0), ("w_max", 1)):  # only w_max may be absent
+        _integer(config.get(field, low), f"config: field {field!r}", low)
     d, p = config["D"], config["P"]
     points = tuple(qparse(x) for x in config["points"])
     voa = build_model(config["voa"], d)
@@ -452,12 +457,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SchemaError as e:
-        print(f"schema error: {e}", file=sys.stderr)
-        return 1
-    try:
         config, result, code = args.fn(args)
-    except SchemaError as e:
+    except ValueError as e:  # a SchemaError, or input a library call rejects
         print(f"schema error: {e}", file=sys.stderr)
         return 1
     except VerificationError as e:
@@ -466,9 +467,6 @@ def main(argv=None) -> int:
     except TruncationError as e:
         print(f"truncation: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"schema error: {e}", file=sys.stderr)
-        return 1
     report = {
         "command": args.command + (
             f" {args.subcommand}" if getattr(args, "subcommand", None) else ""),

@@ -9,6 +9,7 @@ for every output weight within the cutoff and fails loudly otherwise.
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
@@ -48,18 +49,33 @@ class TruncatedModel(ABC):
     modulo 1).
     """
 
-    kind: str = "abstract"
+    def __init__(self, cutoff: int, lowest_weight: Fraction, central_charge: Fraction, *,
+                 kind: str, params: dict, omega: State, vacuum: Hashable, is_voa: bool,
+                 voa: "TruncatedModel | None"):
+        """Keep the contract every model shares, before any basis is built.
 
-    def __init__(self, cutoff: int, lowest_weight: Fraction, central_charge: Fraction):
+        A module needs a VOA of its own central charge, and a VOA model has
+        lowest weight 0, as the mode path's degree count assumes.  ``params``
+        are the descriptor's entries besides kind and cutoff.
+        """
         self.cutoff = int(cutoff)
         self.lowest_weight = Fraction(lowest_weight)
         self.central_charge = Fraction(central_charge)
+        if voa is None and not is_voa:
+            raise ValueError("a module needs an explicit VOA model")
+        if voa is not None and voa.central_charge != self.central_charge:
+            raise ValueError(f"central charge {self.central_charge} is not the VOA's "
+                             f"{voa.central_charge}")
+        if is_voa and self.lowest_weight != 0:
+            raise ValueError(f"a VOA model has lowest weight 0, not {self.lowest_weight}")
+        self.kind = kind
+        self.params = params
+        self._omega = omega
+        self.vacuum = vacuum  # vacuum label (VOA models)
+        self.is_voa = is_voa
+        self._voa = voa  # the acting VOA; None for a VOA model acting on itself
         self._mode_cache: dict = {}
 
-    # -- structure every model exposes ------------------------------------
-    _voa: "TruncatedModel | None" = None  # the acting VOA; None for VOA models
-    is_voa: bool = False
-    vacuum: Hashable = None  # vacuum label (VOA models)
     degrees: dict  # basis label -> degree, filled by _set_basis
 
     @property
@@ -73,7 +89,12 @@ class TruncatedModel(ABC):
 
     @property
     def omega(self) -> State:
-        raise NotImplementedError
+        """The conformal vector, as a copy the caller owns."""
+        return dict(self._omega)
+
+    def descriptor(self) -> dict:
+        """The model's JSON descriptor, as a copy the caller owns."""
+        return {"kind": self.kind, "cutoff": self.cutoff, **copy.deepcopy(self.params)}
 
     def _set_basis(self, labels: Mapping[int, list]) -> None:
         """Fix the basis: labels[d] are the canonical labels of degree d."""
@@ -116,15 +137,14 @@ class TruncatedModel(ABC):
 
     def state_degree(self, s: Mapping) -> int | None:
         """Degree of a homogeneous state; None for zero, error if mixed."""
-        degs = {self.degree_of(k) for k in s}
-        if not degs:
-            return None
+        return self._one_degree({self.degree_of(k) for k in s})
+
+    @staticmethod
+    def _one_degree(degs: set) -> int | None:
+        """The one degree in degs; None if there is none, error if mixed."""
         if len(degs) > 1:
             raise ValueError("state is not homogeneous")
-        return degs.pop()
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
+        return degs.pop() if degs else None
 
 
 # ---------------------------------------------------------------------------

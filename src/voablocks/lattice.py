@@ -178,22 +178,19 @@ class FockModel(TruncatedModel):
         else:
             lw = Fraction(0)
             grounds = [(zero, Fraction(0))]
-        super().__init__(cutoff, lw, Fraction(r))
-        self.kind = "lattice" if lattice_enabled else "heisenberg"
-        self.is_voa = not any(self.lam_alpha)
-        self._voa = voa
-        if voa is None and not self.is_voa:
-            raise ValueError("a module needs an explicit VOA model")
-        if voa is not None and voa.lattice.gram != lat.gram:
-            raise ValueError("module and VOA have different Gram matrices")
-        self.vacuum = ((), zero)
-        self._zero = zero
         om: State = {}
         for i in range(r):
             for j in range(r):
                 lab = (tuple(sorted([(1, i), (1, j)], reverse=True)), zero)
                 vec_add_scaled(om, {lab: Fraction(1)}, lat.inv[i][j] / 2)
-        self._omega = om
+        super().__init__(
+            cutoff, lw, Fraction(r), kind="lattice" if lattice_enabled else "heisenberg",
+            params={"gram": [list(row) for row in lat.gram],
+                    "lambda_alpha": [qstr(x) for x in self.lam_alpha]},
+            omega=om, vacuum=((), zero), is_voa=not any(self.lam_alpha), voa=voa)
+        if voa is not None and voa.lattice.gram != lat.gram:
+            raise ValueError("module and VOA have different Gram matrices")
+        self._zero = zero
         self._creation_cache: dict = {}
         labels: dict[int, list] = {d: [] for d in range(cutoff + 1)}
         for gamma, hn in grounds:
@@ -207,10 +204,6 @@ class FockModel(TruncatedModel):
         self._set_basis({d: sorted(labs) for d, labs in labels.items()})
 
     # -- TruncatedModel interface ------------------------------------------
-    @property
-    def omega(self) -> State:
-        return dict(self._omega)
-
     def decompose(self, label):
         heis, gamma = label
         if not heis:
@@ -226,14 +219,6 @@ class FockModel(TruncatedModel):
         if heis:
             return self._h_mode(heis[0][1], n, label)
         return self._e_mode(beta, n, label)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "gram": [list(row) for row in self.lattice.gram],
-            "lambda_alpha": [qstr(x) for x in self.lam_alpha],
-            "cutoff": self.cutoff,
-        }
 
     # -- Heisenberg modes ----------------------------------------------------
     def _h_mode(self, i: int, n: int, label) -> State:
@@ -349,6 +334,8 @@ def lattice_model(gram, lam_dual=None, cutoff: int = 6,
 
 
 def heisenberg_model(rank: int = 1, cutoff: int = 8) -> FockModel:
+    if rank < 0:
+        raise ValueError(f"rank must be nonnegative, got {rank}")
     gram = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
     return FockModel(gram, None, cutoff, lattice_enabled=False)
 

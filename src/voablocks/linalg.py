@@ -27,11 +27,12 @@ from typing import Iterable, Mapping
 
 def qparse(s) -> Fraction:
     """Parse a rational from a "num/den" string (or int / int-string)."""
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
+    if isinstance(s, (int, Fraction)):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} has a zero denominator") from None
 
 
 def qstr(x: Fraction) -> str:

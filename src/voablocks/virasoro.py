@@ -169,26 +169,12 @@ class VirasoroModel(TruncatedModel):
         kind: str = "virasoro-verma",
         params: dict | None = None,
     ):
-        super().__init__(cutoff, Fraction(h), Fraction(c))
-        self.kind = kind
-        self.params = params or {}
-        if voa is not None and voa.central_charge != self.central_charge:
-            raise ValueError(f"central charge {self.central_charge} is not the VOA's "
-                             f"{voa.central_charge}")
-        if voa is None and not is_voa:
-            raise ValueError("a module needs an explicit VOA model")
-        self.is_voa = is_voa
-        self._voa = voa
-        self.vacuum = ()
+        super().__init__(cutoff, h, c, kind=kind, params=params or {},
+                         omega={(2,): Fraction(1)}, vacuum=(), is_voa=is_voa, voa=voa)
         self.action = VermaAction(self.central_charge, self.lowest_weight)
         self._build_quotient(submodule_gens or [])
-        if is_voa:
-            if self.lowest_weight != 0:
-                raise ValueError("a Virasoro VOA model requires h = 0")
-            if any(map(_has_one, self.degrees)):
-                raise VerificationError(
-                    "quotient basis of a VOA model contains L_{-1} monomials"
-                )
+        if is_voa and any(map(_has_one, self.degrees)):
+            raise VerificationError("quotient basis of a VOA model contains L_{-1} monomials")
 
     # -- quotient construction --------------------------------------------
     def _build_quotient(self, gens: list[State]) -> None:
@@ -237,12 +223,7 @@ class VirasoroModel(TruncatedModel):
                          for d, parts in orders.items()})
 
     def _state_level(self, s: Mapping) -> int | None:
-        lvls = {sum(p) for p in s}
-        if not lvls:
-            return None
-        if len(lvls) > 1:
-            raise ValueError("state is not homogeneous")
-        return lvls.pop()
+        return self._one_degree({sum(p) for p in s})
 
     def reduce_partition_state(self, s: Mapping) -> State:
         """Project a single-level Verma-coordinates state onto the quotient basis."""
@@ -254,10 +235,6 @@ class VirasoroModel(TruncatedModel):
         return self._sub[lvl].reduce(s)
 
     # -- TruncatedModel interface ------------------------------------------
-    @property
-    def omega(self) -> State:
-        return {(2,): Fraction(1)}
-
     def decompose(self, label):
         if not label:
             return ("vacuum",)
@@ -269,11 +246,6 @@ class VirasoroModel(TruncatedModel):
     def gen_mode(self, gen, n: int, label) -> State:
         # omega(n) = L_{n-1}; the only generator is omega, at label (2,).
         return self._sub[sum(label) - n + 1].reduce(self.action._L(n - 1, label))
-
-    def descriptor(self) -> dict:
-        d = {"kind": self.kind, "cutoff": self.cutoff}
-        d.update(self.params)
-        return d
 
 
 def vacuum_voa(c: Fraction, cutoff: int) -> VirasoroModel:

@@ -228,23 +228,23 @@ def test_blocks_dim_computes_u_once_and_one_bound_report_per_module(
                                          "w_max": 4}}
 
 
+def _blocks_config(tmp_path, **changes):
+    config = {"points": ["0"], "labels": ["vacuum"], "D": 4, "P": 2,
+              "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}}
+    config.update(changes)
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 @pytest.mark.parametrize("field,value", [
     ("D", -1), ("P", -1), ("D", 2.5), ("P", "4"), ("D", True),
     ("w_max", "2"), ("w_max", True), ("w_max", 0), ("w_max", None),
     ("points", 5), ("points", "0"), ("labels", {"r": 1, "s": 1}),
 ])
 def test_blocks_dim_rejects_bad_d_or_p(tmp_path, capsys, field, value):
-    config = {
-        "points": ["0"],
-        "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1},
-        "labels": ["vacuum"],
-        "D": 4,
-        "P": 2,
-    }
-    config[field] = value
-    path = tmp_path / "blocks.json"
-    path.write_text(json.dumps(config))
-    assert main(["blocks", "dim", "--config", str(path)]) == 1
+    path = _blocks_config(tmp_path, **{field: value})
+    assert main(["blocks", "dim", "--config", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"schema error: config: field {field!r}")
@@ -395,6 +395,14 @@ def test_quotient_on_every_model_kind(capsys, model, per_degree):
      "model: missing field 's' for kind 'virasoro-irreducible'"),
     ('{"kind": "monster"}', "model: unknown kind 'monster'"),
     ('{"c": "1/2"}', "model: unknown kind None"),
+    # An integer field is never coerced: 4.9 built the (4,3) model, and rank -1 the rank-0 one.
+    ('{"kind": "virasoro-irreducible", "p": 4.9, "q": 3, "r": 1, "s": 1}',
+     "model: field 'p' must be an integer, got 4.9"),
+    ('{"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": true, "s": 1}',
+     "model: field 'r' must be an integer, got True"),
+    ('{"kind": "heisenberg", "rank": 1.5}', "model: field 'rank' must be an integer, got 1.5"),
+    ('{"kind": "heisenberg", "rank": true}', "model: field 'rank' must be an integer, got True"),
+    ('{"kind": "heisenberg", "rank": -1}', "rank must be nonnegative, got -1"),
 ])
 def test_a_model_with_a_missing_field_or_unknown_kind_is_a_schema_error(
         capsys, model, message):
@@ -474,7 +482,13 @@ def test_blocks_dim_with_lattice_labels(tmp_path, capsys, labels, est):
     ({"points": ["0"], "labels": ["vacuum"], "P": 2,
       "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}},
      "config: missing field 'D'"),
-], ids=["virasoro-label", "string-label", "no-D"])
+    ({"points": ["0"], "labels": [{"r": 2.0, "s": 1}], "D": 4, "P": 2,
+      "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}},
+     "blocks: label field 'r' must be an integer, got 2.0"),
+    ({"points": ["0"], "labels": [{"r": 2, "s": False}], "D": 4, "P": 2,
+      "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}},
+     "blocks: label field 's' must be an integer, got False"),
+], ids=["virasoro-label", "string-label", "no-D", "float-r", "bool-s"])
 def test_blocks_dim_rejects_uninterpretable_labels_and_missing_fields(
         tmp_path, capsys, config, message):
     path = tmp_path / "blocks.json"
@@ -483,3 +497,18 @@ def test_blocks_dim_rejects_uninterpretable_labels_and_missing_fields(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"schema error: {message}\n"
+
+
+@pytest.mark.parametrize("route", ["singular", "quotient", "blocks"])
+def test_a_zero_denominator_is_a_schema_error_on_every_route(tmp_path, capsys, route):
+    # Fraction("1/0") raised ZeroDivisionError, which escaped as a traceback.
+    argv = {
+        "singular": ["virasoro", "singular", "--c", "1/0", "--h", "0", "--level", "2"],
+        "quotient": ["quotient", "--space", "c2",
+                     "--model", '{"kind": "virasoro-vacuum", "c": "1/0"}'],
+        "blocks": ["blocks", "dim", "--config", _blocks_config(tmp_path, points=["1/0"])],
+    }[route]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "schema error: '1/0' has a zero denominator\n"

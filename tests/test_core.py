@@ -20,7 +20,7 @@ from voablocks.core import (
 from voablocks.lattice import FockModel, heisenberg_model, lattice_model
 from voablocks.linalg import vec_add_scaled
 from voablocks.virasoro import (
-    VirasoroModel, irreducible_model, ising_model, partitions, vacuum_voa,
+    VirasoroModel, irreducible_model, ising_model, partitions, vacuum_voa, verma_model,
 )
 
 
@@ -276,3 +276,58 @@ def test_core_rejects_bad_input(call, message):
 
 def test_the_zero_state_has_no_degree():
     assert ising_model(4).state_degree({}) is None
+
+
+def test_a_voa_model_with_nonzero_lowest_weight_is_rejected_before_its_basis(monkeypatch):
+    # The mode path counts degrees from a VOA's lowest weight 0.
+    def no_build(self, gens):
+        raise AssertionError("the quotient was built")
+
+    monkeypatch.setattr(VirasoroModel, "_build_quotient", no_build)
+    with pytest.raises(ValueError, match="a VOA model has lowest weight 0, not 1/16"):
+        VirasoroModel(Fraction(1, 2), Fraction(1, 16), 12, is_voa=True)
+
+
+_A2_OMEGA = {(((1, 0), (1, 0)), (0, 0)): Fraction(1, 3),
+             (((1, 1), (1, 0)), (0, 0)): Fraction(1, 3),
+             (((1, 1), (1, 1)), (0, 0)): Fraction(1, 3)}
+
+
+@pytest.mark.parametrize("build, descriptor, omega", [
+    (lambda: vacuum_voa(Fraction(7, 10), 4),
+     {"kind": "virasoro-vacuum", "cutoff": 4, "c": "7/10"}, {(2,): Fraction(1)}),
+    (lambda: verma_model(Fraction(1, 2), Fraction(1, 16), 3),
+     {"kind": "virasoro-verma", "cutoff": 3, "c": "1/2", "h": "1/16"}, {(2,): Fraction(1)}),
+    (lambda: irreducible_model(4, 3, 2, 2, 4),
+     {"kind": "virasoro-irreducible", "cutoff": 4, "p": 4, "q": 3, "r": 2, "s": 2},
+     {(2,): Fraction(1)}),
+    (lambda: irreducible_model(4, 3, 1, 1, 4),
+     {"kind": "virasoro-irreducible", "cutoff": 4, "p": 4, "q": 3, "r": 1, "s": 1},
+     {(2,): Fraction(1)}),
+    (lambda: lattice_model([[2, -1], [-1, 2]], cutoff=3),
+     {"kind": "lattice", "cutoff": 3, "gram": [[2, -1], [-1, 2]],
+      "lambda_alpha": ["0", "0"]}, _A2_OMEGA),
+    (lambda: lattice_model([[2]], [1], 3),
+     {"kind": "lattice", "cutoff": 3, "gram": [[2]], "lambda_alpha": ["1/2"]},
+     {(((1, 0), (1, 0)), (0,)): Fraction(1, 4)}),
+    (lambda: heisenberg_model(2, 3),
+     {"kind": "heisenberg", "cutoff": 3, "gram": [[1, 0], [0, 1]],
+      "lambda_alpha": ["0", "0"]},
+     {(((1, 0), (1, 0)), (0, 0)): Fraction(1, 2), (((1, 1), (1, 1)), (0, 0)): Fraction(1, 2)}),
+], ids=["vacuum", "verma", "irreducible-module", "irreducible-voa", "lattice-voa",
+        "lattice-module", "heisenberg"])
+def test_descriptor_and_omega_of_every_model_kind(build, descriptor, omega):
+    model = build()
+    assert model.descriptor() == descriptor
+    assert model.omega == omega
+    # Each call hands out a copy: mutating one reaches neither the model nor later calls.
+    got = model.descriptor()
+    got["kind"] = "mutated"
+    for row in got.get("gram", []):
+        row.append(99)
+    got.get("lambda_alpha", []).clear()
+    om = model.omega
+    om.clear()
+    om[(99,)] = Fraction(5)
+    assert model.descriptor() == descriptor
+    assert model.omega == omega

@@ -430,7 +430,9 @@ def test_momentum_modes_match_the_per_term_sum(gram, lam, cutoff):
     # on Gram [[2]], lambda = [1] is alpha/2, a nonzero momentum
     (lambda: FockModel([[2]], [1], 4, lattice_enabled=False),
      "free-boson model supports only the zero momentum"),
-], ids=["row-too-long", "row-too-short", "lambda-string", "lambda-none", "free-boson"])
+    (lambda: heisenberg_model(-1), "rank must be nonnegative, got -1"),
+], ids=["row-too-long", "row-too-short", "lambda-string", "lambda-none", "free-boson",
+        "heisenberg-negative-rank"])
 def test_lattice_rejects_bad_input(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -501,7 +501,7 @@ def test_submodule_is_the_maximal_one_by_an_independent_oracle(p, q, r, s, cutof
 
 @pytest.mark.parametrize("build, message", [
     (lambda: virasoro.VirasoroModel(Fraction(1, 2), Fraction(1, 16), 4, is_voa=True),
-     "a Virasoro VOA model requires h = 0"),
+     "a VOA model has lowest weight 0, not 1/16"),
     (lambda: feigin_fuchs(0, 1), "r, s must be positive"),
     (lambda: feigin_fuchs(2, -1), "r, s must be positive"),
 ], ids=["voa-with-h", "ff-r-0", "ff-s-negative"])
