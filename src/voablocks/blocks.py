@@ -198,13 +198,15 @@ def slot_matrices(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
             # a(n)w vanishes for n > wt a + deg w - 1 (its degree is < 0).
             coeffs = laurent_expand(surface.line, f, i,
                                     wt_a + max(degrees.values()) - 1)
+            # Each product ac * c is formed once per slot, not once per label.
+            terms = [(n, alab, ac * c) for n, c in coeffs.items() for alab, ac in a.items()]
             # The cached images are shared with the mode cache: read only.
             for lab, deg in degrees.items():
                 img: dict = {}
-                for n, c in coeffs.items():
-                    if n < wt_a + deg:
-                        for alab, ac in a.items():
-                            vec_add_scaled(img, _mode_label(mod, alab, n, lab), ac * c)
+                top = wt_a + deg
+                for n, alab, cf in terms:
+                    if n < top:
+                        vec_add_scaled(img, _mode_label(mod, alab, n, lab), cf)
                 mat[lab] = img
         out.append(mat)
     return out

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .core import State, TruncatedModel, VerificationError, mode_apply
 from .finiteness import SubspaceSpec, _graded_spans
-from .linalg import SolverEchelon, qstr, vec_add_scaled
+from .linalg import SolverEchelon, qparse, qstr, vec_add_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +28,7 @@ class EvenLattice:
 
     def __init__(self, gram: Sequence[Sequence[int]], require_even: bool = True):
         try:
-            q = [[Fraction(x) for x in row] for row in gram]
+            q = [[qparse(x) for x in row] for row in gram]
         except (TypeError, ValueError, OverflowError):
             q = None
         if q is None or any(x.denominator != 1 for row in q for x in row):
@@ -114,7 +114,7 @@ def _lambda_alpha(lat: EvenLattice, lam_dual: Sequence | None) -> tuple:
     """
     r = lat.rank
     try:
-        lam_dual = tuple(Fraction(x) for x in (lam_dual or (0,) * r))
+        lam_dual = tuple(qparse(x) for x in (lam_dual or (0,) * r))
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"lambda must be a list of integers, got {lam_dual!r}") from None
     if len(lam_dual) != r:

@@ -11,13 +11,17 @@ zero; a scaling coefficient must be an int or a ``Fraction``.
 of its operands and builds each changed entry with one normalizing
 ``Fraction`` construction, and it never stores a zero, not even one that
 ``src`` holds.  Units cost no arithmetic on new keys, which take ``src``'s
-value itself or its negation.  ``Echelon.add`` divides a residual by its
-pivot through the same kernel, and stores a residual whose pivot
-coefficient is already 1 as it is.
+value itself or its negation.  Elimination calls its loop, the kernel
+``_add_ratio``, with integer ratios: a row is subtracted with the negated
+ratio ``(-cn, cd)`` of its (still type-checked) coefficient, and a residual
+is divided by its pivot ``pn/pd`` with the ratio ``(pd, pn)``, unless the
+pivot is already 1.  No stored row holds a key that comes before its own
+pivot, so a new pivot is cleared only from rows whose pivot comes no later.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -26,7 +30,13 @@ from typing import Iterable, Mapping
 
 
 def qparse(s) -> Fraction:
-    """Parse a rational from a "num/den" string (or int / int-string)."""
+    """Parse a rational from a "num/den" string (or int / int-string).
+
+    A bool is not a number here, though Python counts it as an int: a JSON
+    ``true`` raises ``ValueError`` rather than reading as 1.
+    """
+    if isinstance(s, bool):
+        raise ValueError(f"{s!r} is a boolean, not a rational")
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     try:
@@ -62,12 +72,21 @@ def vec_add_scaled(dst: dict, src: Mapping, coeff: Fraction | int) -> None:
     a zero value in ``src`` is never stored.  Surviving keys keep their
     order; new keys are appended in ``src``'s order.
     """
-    if not isinstance(coeff, (int, Fraction)):
-        raise TypeError(f"vec_add_scaled: coefficient must be an int or a Fraction, "
-                        f"not {type(coeff).__name__}")
-    if not coeff:
-        return
-    cn, cd = coeff.as_integer_ratio()
+    cn, cd = _ratio(coeff)
+    if cn:
+        _add_ratio(dst, src, cn, cd)
+
+
+def _ratio(c) -> tuple[int, int]:
+    """The integer ratio of an int or a ``Fraction``; anything else raises."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"a coefficient must be an int or a Fraction, "
+                        f"not {type(c).__name__}")
+    return c.as_integer_ratio()
+
+
+def _add_ratio(dst: dict, src: Mapping, cn: int, cd: int) -> None:
+    """dst += (cn/cd) * src for integers cn != 0 and cd > 0 in lowest terms."""
     unit = cn if cd == 1 and cn in (1, -1) else 0
     for k, v in src.items():
         vn, vd = v.as_integer_ratio()
@@ -95,41 +114,68 @@ class Echelon:
 
     The stored rows depend only on the span and ``pivot_key``, never on the
     order rows were added in: a fully reduced echelon form is unique for its
-    span.  The order sets the cost.  A new pivot must be cleared from every
-    stored row that holds it, and a stored row holds only coordinates that
-    come after its own pivot, so adding rows in descending order of their
-    leading (minimal) key keeps that back-substitution small.
+    span.  The order sets the cost.  No stored row holds a key that comes
+    before its own pivot: a new row's pivot is its least key, and clearing
+    a new pivot from a row whose pivot comes no later only adds keys that
+    come no earlier.  So a new pivot is cleared only from the rows whose
+    pivot comes no later than it (found by bisection in the pivots sorted
+    by ``pivot_key``), and adding rows in descending order of their leading
+    key keeps that back-substitution small.  Rows are subtracted and
+    divided through ``_add_ratio`` with integer ratios (``(-cn, cd)`` for a
+    coefficient ``cn/cd``, ``(pd, pn)`` for a pivot ``pn/pd``), so no
+    ``Fraction`` is built for a coefficient itself.
     """
 
     def __init__(self, pivot_key=None):
         self.pivot_rows: dict = {}  # pivot key -> row (dict key->Fraction with row[pivot]=1)
         self.pivot_key = pivot_key
+        self._keys: list = []  # pivot_key of each pivot, ascending
+        self._pivots: list = []  # the pivots, in the order of _keys
 
     def reduce(self, vec: Mapping) -> dict:
         # Subtracting a row changes no other pivot coordinate, so each pivot
         # the input holds is cleared by its own coefficient, once.
         v = dict(vec)
+        rows = self.pivot_rows
         for k, c in vec.items():
-            if k in self.pivot_rows:
-                vec_add_scaled(v, self.pivot_rows[k], -c)
+            if k in rows:
+                cn, cd = _ratio(c)
+                if cn:
+                    _add_ratio(v, rows[k], -cn, cd)
         return v
 
     def add(self, vec: Mapping) -> bool:
         """Insert vec; returns True if it increased the rank."""
-        v = self.reduce(vec)
+        return self._insert(self.reduce(vec))
+
+    def _insert(self, v: dict) -> bool:
+        """Store the residual ``v`` (from ``reduce``) as a row, if it is not zero."""
         if not v:
             return False
-        pivot = min(v, key=self.pivot_key)
-        pv = v[pivot]
+        key = self.pivot_key
+        pivot = min(v, key=key)
+        kp = key(pivot) if key else pivot
+        i = bisect_right(self._keys, kp)  # ties stay in: they may hold the pivot
+        # Dividing by the pivot scales by its inverse ratio, sign moved up.
+        pn, pd = v[pivot].as_integer_ratio()
+        if pn < 0:
+            pn, pd = -pn, -pd
+        elif not pn:
+            raise ZeroDivisionError(f"zero pivot coefficient at {pivot!r}")
         # A unit pivot needs no division: the residual is already the row.
         row = v
-        if pv != 1:
+        if pn != pd:
             row = {}
-            vec_add_scaled(row, v, 1 / Fraction(pv))  # int input divides exactly too
-        for p, r in self.pivot_rows.items():
+            _add_ratio(row, v, pd, pn)
+        rows = self.pivot_rows
+        for p in self._pivots[:i]:
+            r = rows[p]
             if pivot in r:
-                vec_add_scaled(r, row, -r[pivot])
-        self.pivot_rows[pivot] = row
+                cn, cd = _ratio(r[pivot])
+                _add_ratio(r, row, -cn, cd)
+        rows[pivot] = row
+        self._keys.insert(i, kp)
+        self._pivots.insert(i, pivot)
         return True
 
     @property
@@ -171,7 +217,7 @@ class SolverEchelon(Echelon):
     def add(self, vec: Mapping, index) -> bool:
         """Insert vec as input ``index``; returns True if it increased the rank."""
         v = self.reduce({**vec, _Expr(index): Fraction(1)})
-        return not all(isinstance(k, _Expr) for k in v) and super().add(v)
+        return not all(isinstance(k, _Expr) for k in v) and self._insert(v)
 
     def solve(self, target: Mapping) -> dict | None:
         """Coefficients x (index -> Fraction) with sum x_i row_i == target, or None."""

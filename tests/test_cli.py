@@ -512,3 +512,26 @@ def test_a_zero_denominator_is_a_schema_error_on_every_route(tmp_path, capsys, r
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "schema error: '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize("route, message", [
+    ("quotient", "True is a boolean, not a rational"),
+    ("lambda", "lambda must be a list of integers, got [True]"),
+    ("points", "True is a boolean, not a rational"),
+    ("gram", "Gram matrix must be a matrix of integers, got [[2, True], [True, 2]]"),
+])
+def test_a_json_boolean_is_not_a_number_on_any_rational_route(tmp_path, capsys, route,
+                                                              message):
+    # Python counts True as the int 1, so c = true built the c = 1 model.
+    argv = {
+        "quotient": ["quotient", "--space", "c2",
+                     "--model", '{"kind": "virasoro-vacuum", "c": true}'],
+        "lambda": ["lattice", "b1check", "--gram", "[[2]]", "--lambda", "[true]",
+                   "--cutoff", "4"],
+        "points": ["blocks", "dim", "--config", _blocks_config(tmp_path, points=[True])],
+        "gram": ["lattice", "gamma", "--gram", "[[2, true], [true, 2]]"],
+    }[route]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"schema error: {message}\n"

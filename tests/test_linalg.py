@@ -25,6 +25,9 @@ def test_qparse_qstr_roundtrip():
     assert qparse("-2") == Fraction(-2)
     assert qstr(Fraction(5, 1)) == "5"
     assert qstr(Fraction(-1, 3)) == "-1/3"
+    for flag in (True, False):  # a JSON boolean is not a number
+        with pytest.raises(ValueError, match="boolean"):
+            qparse(flag)
     rng = random.Random(20240822)
     for _ in range(50):
         x = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
@@ -63,6 +66,14 @@ def test_int_input_is_stored_exactly():
         assert values and not any(isinstance(v, float) for v in values)
 
 
+def test_a_zero_pivot_raises_rather_than_storing_an_empty_row():
+    # A vector stores no zeros; one that does must not become a row.
+    ech = Echelon()
+    with pytest.raises(ZeroDivisionError):
+        ech.add({0: Fraction(0)})
+    assert ech.rank == 0 and ech.pivot_rows == {}
+
+
 @pytest.mark.parametrize("coeff", [0.5, 0.0, 1.0])
 def test_vec_add_scaled_rejects_a_float_coefficient(coeff):
     # A float would make the sum inexact (or, read as an integer ratio, the
@@ -73,6 +84,21 @@ def test_vec_add_scaled_rejects_a_float_coefficient(coeff):
         with pytest.raises(TypeError, match="int or a Fraction"):
             vec_add_scaled(dst, src, coeff)
     assert dst == {1: Fraction(2, 7)}
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1.0])
+def test_elimination_rejects_a_float_coefficient_on_a_pivot(coeff):
+    # Elimination clears pivots through a kernel that skips vec_add_scaled's
+    # check, so it checks each coefficient it clears a pivot with, before
+    # anything is stored.
+    ech, se = Echelon(), SolverEchelon()
+    ech.add({0: Fraction(1), 1: Fraction(1, 2)})
+    se.add({0: Fraction(1), 1: Fraction(1, 2)}, 0)
+    before = [{p: list(r.items()) for p, r in e.pivot_rows.items()} for e in (ech, se)]
+    for call in (ech.reduce, ech.add, ech.contains, lambda v: se.add(v, 1), se.solve):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            call({0: coeff, 2: Fraction(3)})
+    assert [{p: list(r.items()) for p, r in e.pivot_rows.items()} for e in (ech, se)] == before
 
 
 def test_solver_echelon_recovers_coefficients():

@@ -105,6 +105,92 @@ def test_echelon_reduce_leaves_no_pivot_and_removes_a_span_member(m, data, pivot
     assert sympy_rank(m + [removed]) == sympy_rank(m)
 
 
+class FullScanEchelon:
+    """The elimination with every stored row scanned for each new pivot,
+    written with plain ``Fraction`` operators: the reference for the rows
+    ``Echelon`` stores, key order included.  A coordinate ``("expr", i)``
+    with ``solver=True`` tracks input ``i`` as ``SolverEchelon`` does."""
+
+    def __init__(self, pivot_key=None, solver=False):
+        self.pivot_rows = {}
+        self.pivot_key = pivot_key
+        self.solver = solver
+        if solver:
+            self.pivot_key = lambda k: (1,) if self.is_expr(k) else (0, k)
+
+    @staticmethod
+    def is_expr(k):
+        return isinstance(k, tuple) and k[:1] == ("expr",)
+
+    @staticmethod
+    def add_scaled(dst, src, c):
+        for k, x in src.items():
+            y = dst[k] + c * x if k in dst else c * x
+            if y:
+                dst[k] = y
+            else:
+                dst.pop(k, None)
+
+    def reduce(self, vec):
+        v = dict(vec)
+        for k, c in vec.items():
+            if k in self.pivot_rows:
+                self.add_scaled(v, self.pivot_rows[k], -c)
+        return v
+
+    def add(self, vec, index=None):
+        if self.solver:
+            vec = {**vec, ("expr", index): Fraction(1)}
+        v = self.reduce(vec)
+        if all(self.is_expr(k) for k in v):
+            return False
+        pivot = min(v, key=self.pivot_key)
+        pv = v[pivot]
+        row = v if pv == 1 else {k: Fraction(x) / pv for k, x in v.items()}
+        for r in self.pivot_rows.values():
+            if pivot in r:
+                self.add_scaled(r, row, -r[pivot])
+        self.pivot_rows[pivot] = row
+        return True
+
+    def solve(self, target):
+        v = self.reduce(target)
+        if not all(self.is_expr(k) for k in v):
+            return None
+        return {k[1]: -c for k, c in v.items()}
+
+
+# Mostly zeros, so that rows are sparse; ints and Fractions both, as callers
+# pass both.
+sparse_entries = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 10), st.data(), st.randoms(use_true_random=False),
+       st.sampled_from([None, _reordered, lambda k: k // 2]))
+def test_echelon_stores_the_rows_of_a_full_scan(nrows, ncols, data, rng, pivot_key):
+    # Only rows whose pivot comes no later than a new pivot are scanned for
+    # it (k // 2 has ties); the rows must be the full scan's, in key order.
+    m = [sparse(data.draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols)))
+         for _ in range(nrows)]
+    rng.shuffle(m)
+    ech, ref = Echelon(pivot_key=pivot_key), FullScanEchelon(pivot_key)
+    for row in m:
+        assert ech.add(row) == ref.add(row)
+    assert list(ech.pivot_rows) == list(ref.pivot_rows)
+    for p, row in ech.pivot_rows.items():
+        assert list(row.items()) == list(ref.pivot_rows[p].items())
+    se, sref = SolverEchelon(), FullScanEchelon(solver=True)
+    for i, row in enumerate(m):
+        assert se.add(row, i) == sref.add(row, i)
+    targets = m + [sparse(data.draw(st.lists(sparse_entries, min_size=ncols,
+                                             max_size=ncols)))]
+    for target in targets:
+        got, want = se.solve(target), sref.solve(target)
+        assert got == want and (got is None or list(got.items()) == list(want.items()))
+
+
 # Entries of +-1 are common, so that both unit and non-unit pivots turn up.
 unit_heavy = st.one_of(st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]),
                        st.fractions(min_value=-3, max_value=3, max_denominator=3))
