@@ -240,17 +240,6 @@ def qgvo_apply(surface: LabeledLine, a: Mapping, f: MeromorphicSection,
 # Lie-closure of quasi-global operators
 
 
-def _compose(outer: dict, inner: dict) -> dict:
-    """outer ∘ inner for label maps, as {label: state}."""
-    out: dict = {}
-    for lab, img in inner.items():
-        comp: dict = {}
-        for lab2, c in img.items():
-            vec_add_scaled(comp, outer[lab2], c)
-        out[lab] = comp
-    return out
-
-
 def _slot_coordinates(mats: Sequence[dict], dom_labels: Sequence[list]) -> dict:
     """Coordinates that vanish iff T = sum over slots of A_i = mats[i] does on
     the pure tensors of degree <= d_dom; dom_labels[i] is slot i's labels of
@@ -306,11 +295,16 @@ def _bracket_matrix(surface: LabeledLine, op1: tuple, op2: tuple):
 
     A = slot_matrices(surface, a, f, reach(wb, g))
     B = slot_matrices(surface, b, g, reach(wa, f))
+    # [A_i, B_i] on each domain label in one pass: A_i B_i, then - B_i A_i.
     comm = []
     for A_i, B_i, labs in zip(A, B, dom_labels):
-        c_i = _compose(A_i, {lab: B_i[lab] for lab in labs})
-        for lab, img in _compose(B_i, {lab: A_i[lab] for lab in labs}).items():
-            vec_add_scaled(c_i[lab], img, Fraction(-1))
+        c_i: dict = {}
+        for lab in labs:
+            img = c_i[lab] = {}
+            for lab2, c in B_i[lab].items():
+                vec_add_scaled(img, A_i[lab2], c)
+            for lab2, c in A_i[lab].items():
+                vec_add_scaled(img, B_i[lab2], -c)
         comm.append(c_i)
     return dom_labels, comm
 

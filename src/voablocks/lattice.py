@@ -192,6 +192,7 @@ class FockModel(TruncatedModel):
             raise ValueError("module and VOA have different Gram matrices")
         self._zero = zero
         self._creation_cache: dict = {}
+        self._momentum_cache: dict = {}
         labels: dict[int, list] = {d: [] for d in range(cutoff + 1)}
         for gamma, hn in grounds:
             base = hn - lw
@@ -240,25 +241,32 @@ class FockModel(TruncatedModel):
 
     # -- Momentum-state modes -------------------------------------------------
     def _e_mode(self, beta: tuple, n: int, label) -> State:
-        heis, gamma = label
-        lat = self.lattice
-        r = lat.rank
-        mu = tuple(self.lam_alpha[k] + gamma[k] for k in range(r))
-        s = lat.inner(beta, mu)
-        if s.denominator != 1:
-            raise ValueError("non-integral zero-mode pairing")
-        s = int(s)
-        sign = _cocycle_sign(lat, beta, gamma)
-        gamma2 = tuple(gamma[k] + beta[k] for k in range(r))
+        # The n-independent factors E^-(β) E^+(β) e^β z^{β(0)} are expanded
+        # once per (β, label): s = <β|λ+γ>, γ+β, and the signed
+        # annihilation terms (h2, drop, sign * cf) in their item order.
+        key = (beta, label)
+        hit = self._momentum_cache.get(key)
+        if hit is None:
+            heis, gamma = label
+            lat = self.lattice
+            s = lat.inner(beta, [lam + g for lam, g in zip(self.lam_alpha, gamma)])
+            if s.denominator != 1:
+                raise VerificationError(f"non-integral zero-mode pairing {s} "
+                                        f"of e^{beta} on {label}")
+            sign = _cocycle_sign(lat, beta, gamma)
+            hit = self._momentum_cache[key] = (
+                int(s), tuple(g + b for g, b in zip(gamma, beta)),
+                tuple((h2, drop, sign * cf)
+                      for (h2, drop), cf in self._annihilate(heis, beta).items()))
+        s, gamma2, terms = hit
         out: State = {}
-        for (h2, drop), cf in self._annihilate(heis, beta).items():
+        for h2, drop, cf in terms:
             p = -n - 1 - s - drop
             if p < 0:
                 continue
             # For a fixed h2, distinct creation monomials give distinct labels.
             vec_add_scaled(out, {(tuple(sorted(h2 + mon, reverse=True)), gamma2): acf
-                                 for mon, acf in self._creation(beta, p).items()},
-                           sign * cf)
+                                 for mon, acf in self._creation(beta, p).items()}, cf)
         return out
 
     def _annihilate(self, heis: tuple, beta: tuple) -> dict:

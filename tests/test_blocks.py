@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from voablocks import blocks
 from voablocks.blocks import (
     _bracket_matrix,
     _graded_tensors,
+    _labels_upto,
     _slot_coordinates,
     LabeledLine,
     MeromorphicSection,
@@ -26,7 +28,7 @@ from voablocks.blocks import (
 )
 from voablocks.core import TruncationError, mode_apply, quasi_primary_space
 from voablocks.lattice import lattice_model
-from voablocks.linalg import Echelon
+from voablocks.linalg import Echelon, vec_add_scaled
 from voablocks.virasoro import irreducible_model, ising_model
 
 
@@ -433,6 +435,65 @@ def test_blocks_leave_the_mode_cache_unchanged(build):
         assert bracket_closure_check(surface, op1, op2)
     for m, entries in before:
         assert {k: list(m._mode_cache[k].items()) for k in entries} == entries
+
+
+def _compose(outer, inner):
+    """outer ∘ inner for label maps, as {label: state}."""
+    out = {}
+    for lab, img in inner.items():
+        comp = {}
+        for lab2, c in img.items():
+            vec_add_scaled(comp, outer[lab2], c)
+        out[lab] = comp
+    return out
+
+
+def _two_compose_bracket(surface, op1, op2):
+    """_bracket_matrix's earlier form: per slot, the composition A_i B_i on
+    the domain, minus the separately built B_i A_i."""
+    (a, f), (b, g) = op1, op2
+    voa = surface.voa
+    wa, wb = voa.state_degree(a), voa.state_degree(b)
+    dom_labels, _ = _bracket_matrix(surface, op1, op2)
+    d_dom = max(m.degree_of(lab) for m, labs in zip(surface.modules, dom_labels)
+                for lab in labs)
+
+    def reach(wt, h):
+        return [_labels_upto(m, d_dom + max(0, wt + h.pole_order(i) - 1))
+                for i, m in enumerate(surface.modules)]
+
+    A = slot_matrices(surface, a, f, reach(wb, g))
+    B = slot_matrices(surface, b, g, reach(wa, f))
+    comm = []
+    for A_i, B_i, labs in zip(A, B, dom_labels):
+        c_i = _compose(A_i, {lab: B_i[lab] for lab in labs})
+        for lab, img in _compose(B_i, {lab: A_i[lab] for lab in labs}).items():
+            vec_add_scaled(c_i[lab], img, Fraction(-1))
+        comm.append(c_i)
+    return dom_labels, comm
+
+
+@pytest.mark.parametrize("build, weight, cutoff", [
+    (ising_model, 2, 10), (lambda cutoff: lattice_model([[2]], cutoff=cutoff), 1, 6),
+], ids=["ising", "a1"])
+def test_bracket_commutator_matches_two_compositions(build, weight, cutoff, monkeypatch):
+    # Every ordered section pair of the bracket-closure session: points
+    # (0, 1), pole bounds 1, state i % (number of states) with section i.
+    voa = build(cutoff)
+    line = PointedLine((0, 1))
+    surface = LabeledLine(line, [voa, voa])
+    states = quasi_primary_space(voa, weight)
+    sections = section_basis(line, weight, [1, 1])
+    ops = [(states[i % len(states)], f) for i, f in enumerate(sections)]
+    verdicts = []
+    for op1, op2 in itertools.product(ops, repeat=2):
+        dom_labels, comm = _bracket_matrix(surface, op1, op2)
+        assert (dom_labels, comm) == _two_compose_bracket(surface, op1, op2)
+        verdicts.append(bracket_closure_check(surface, op1, op2))
+    monkeypatch.setattr(blocks, "_bracket_matrix", _two_compose_bracket)
+    assert [bracket_closure_check(surface, op1, op2)
+            for op1, op2 in itertools.product(ops, repeat=2)] == verdicts
+    assert all(verdicts)
 
 
 def test_theorem_bound_ising_vacuum():

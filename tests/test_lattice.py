@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from voablocks.core import check_identity, mode_apply
+from voablocks.blocks import (LabeledLine, PointedLine, bracket_closure_check,
+                              coinvariant_report, section_basis)
+from voablocks.core import check_identity, mode_apply, quasi_primary_space
+from voablocks.finiteness import SubspaceSpec, complement_U, quotient_report
 from voablocks.lattice import (
     EvenLattice,
     FockModel,
@@ -419,6 +422,66 @@ def test_momentum_modes_match_the_per_term_sum(gram, lam, cutoff):
                     want = _e_mode_per_term(model, gen[1], n, label)
                     assert list(got.items()) == list(want.items())
                     checked += bool(got)
+    assert checked
+
+
+def test_non_integral_zero_mode_pairing_is_a_verification_error():
+    # _lambda_alpha rejects a λ with non-integral pairings at input, so this
+    # is reachable only from a corrupted model: an internal failure.
+    module = lattice_model(A1, [1], cutoff=4)
+    module.lam_alpha = (Fraction(1, 4),)
+    with pytest.raises(VerificationError, match="non-integral zero-mode pairing"):
+        module.gen_mode(((), (1,)), 0, module.labels_at(0)[0])
+
+
+_FOCK_CACHES = ("_mode_cache", "_creation_cache", "_momentum_cache")
+
+
+def _fock_cache_snapshot(models):
+    return [{name: {k: list(v.items()) if isinstance(v, dict) else v
+                    for k, v in getattr(m, name).items()} for name in _FOCK_CACHES}
+            for m in models]
+
+
+def test_fock_paths_leave_the_caches_unchanged():
+    # Quotients, blocks and brackets read cached mode images, creation series
+    # and momentum expansions in place; an earlier entry must keep its value
+    # and key order.
+    voa = lattice_model(A1, cutoff=6)
+    omega1 = lattice_model(A1, [1], cutoff=6, voa=voa)
+    line = PointedLine((0, 1))
+    surface = LabeledLine(line, [omega1, voa])
+    cmu = SubspaceSpec("cmu", m=1, U=tuple(complement_U(voa)[0]))
+    ops = [(a, f) for a in quasi_primary_space(voa, 1)
+           for f in section_basis(line, 1, [1, 1])]
+
+    def run():
+        return ([quotient_report(m, spec).to_json() for m in (voa, omega1)
+                 for spec in (cmu, SubspaceSpec("b1"))],
+                coinvariant_report(surface, D=6, P=2).to_json(),
+                [bracket_closure_check(surface, ops[i], ops[j])
+                 for i, j in ((1, 5), (0, 4))])
+
+    first = run()
+    before = _fock_cache_snapshot([voa, omega1])
+    assert all(entries for snap in before for entries in snap.values())
+    assert run() == first
+    after = _fock_cache_snapshot([voa, omega1])
+    for snap, new in zip(before, after):
+        for name, entries in snap.items():
+            assert {k: new[name][k] for k in entries} == entries, name
+    # gen_mode hands out a fresh dict: changing it leaves the next call alone.
+    checked = 0
+    for model in (voa, omega1):
+        for gen, n, label in itertools.product(
+                [((), (1,)), ((), (-1,)), (((1, 0),), (0,))], range(-2, 2),
+                model.labels_at(0) + model.labels_at(1)):
+            want = list(model.gen_mode(gen, n, label).items())
+            got = model.gen_mode(gen, n, label)
+            got.clear()
+            got[label] = Fraction(7)
+            assert list(model.gen_mode(gen, n, label).items()) == want
+            checked += bool(want)
     assert checked
 
 
