@@ -123,6 +123,27 @@ def _span_terms(module: TruncatedModel, spec: SubspaceSpec, d: int):
             yield a_state, n, wlab
 
 
+def _c2_terms(module: TruncatedModel, gens: Sequence[tuple], spans: Sequence[Echelon],
+              d: int):
+    """Recipes (t_state, n, w_state) whose t(-n)w span C2(W) at degree d.
+
+    First t(-n)w for every generator t of weight wt (``gens`` lists (t, wt)
+    by weight and label), every n >= 2 and every basis w of degree
+    d - wt - n + 1; then s(-1)x for every generator s and every stored row x
+    of the echelon of degree d - wt s.  ``_graded_spans`` says why these
+    span C2(W).
+    """
+    for t, wt in gens:
+        for n in range(2, d + 2 - wt):
+            for wlab in module.labels_at(d - wt - n + 1):
+                yield {t: Fraction(1)}, n, {wlab: Fraction(1)}
+    for s, wt in gens:
+        if wt > d:
+            break
+        for x in spans[d - wt].pivot_rows.values():
+            yield {s: Fraction(1)}, 1, x
+
+
 def _graded_spans(module: TruncatedModel, spec: SubspaceSpec | None,
                   seeds: Iterable[tuple[int, State]] = ()) -> list[Echelon]:
     """One echelon per degree, spanning the seeds (d, v) and spec's generators.
@@ -132,15 +153,53 @@ def _graded_spans(module: TruncatedModel, spec: SubspaceSpec | None,
     False and leaves the echelon unchanged, so the ranks are those of the
     whole ``subspace_span`` list.  A generator that is never needed is
     never built, so it can no longer raise a ``TruncationError``.
+
+    C2(W) (spec "cn" with n = 2) is walked from generator modes instead of
+    a(-2)w over every basis state a (``_c2_terms``).  Let S be the VOA's
+    generator labels.  Every other label a of positive weight is s(-k)c
+    with s in S, k >= 1 and wt c < wt a, so S strongly generates V.  Let G be
+    the smallest subspace that holds every t(-n)w (t in S, n >= 2) and is
+    closed under every s(-1), s in S.  Then G = C2(W):
+
+    * G ⊆ C2: t(-n) = ((L_{-1})^(n-2) t)(-2) / (n-2)!, and C2 is closed
+      under s(-1), since s(-1)b(-2)w = b(-2)s(-1)w
+      + sum_j C(-1, j) (s(j)b)(-3-j)w and every x(-3-j) lies in C2.
+    * C2 ⊆ G: a(-m)w lies in G for m >= 2, by induction on wt a through
+      the associativity formula of ``core._iterate_formula``:
+      (s(-k)c)(-m)w = sum_i C(k+i-1, i) s(-k-i)(c(-m+i)w)
+                      - (-1)^k sum_i C(k+i-1, i) c(-k-m-i)(s(i)w).
+      A term with k + i >= 2 is a generator of G.  The one term with
+      k + i = 1 is s(-1)(c(-m)w), where c(-m)w lies in G by induction.  The
+      second sum has modes <= -3 on c, with wt c < wt a: induction again.
+
+    Degrees are walked in ascending order and each stops only at full
+    rank, so when degree d is walked the rows of degree d - wt s are a
+    basis of C2(W) there, and s(-1) on those rows is all of s(-1)G.  A
+    seed would enter that basis, so seeds with C2 raise ``ValueError``.
+    The trick is C2's alone: on Heisenberg at degree 4, C3 holds
+    h(-2)h(-2)1, which no h(-k)w with k >= 3 reaches.  So every other spec
+    keeps its definitional recipes (``_span_terms``).
     """
+    seeds = list(seeds)
+    c2 = spec is not None and spec.kind == "cn" and spec.n == 2
+    if c2 and seeds:
+        raise ValueError("the C2 walk reads each degree's rows as C2 there; "
+                         "it takes no seeds")
     spans = [Echelon() for _ in range(module.cutoff + 1)]
     for d, vec in seeds:
         spans[d].add(vec)
+    voa = module.voa
+    gens = [(t, wt) for wt in range(1, module.cutoff + 1) for t in voa.labels_at(wt)
+            if voa.decompose(t)[0] == "gen"] if c2 else ()
     for d, ech in enumerate(spans) if spec else ():
-        for a_state, n, wlab in _span_terms(module, spec, d):
+        if c2:
+            terms = _c2_terms(module, gens, spans, d)
+        else:
+            terms = ((a, n, {wlab: Fraction(1)}) for a, n, wlab in _span_terms(module, spec, d))
+        for a_state, n, w in terms:
             if ech.rank == module.dim(d):
                 break
-            vec = mode_apply(module, a_state, -n, {wlab: Fraction(1)})
+            vec = mode_apply(module, a_state, -n, w)
             if vec:
                 ech.add(vec)
     return spans

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from voablocks.core import mode_apply, quasi_primary_space
 from voablocks.finiteness import (
     SubspaceSpec,
+    _graded_spans,
     _u_split,
     bound_k,
     complement_U,
@@ -21,7 +22,13 @@ from voablocks.finiteness import (
 )
 from voablocks.lattice import heisenberg_model, lattice_model
 from voablocks.linalg import Echelon, SolverEchelon
-from voablocks.virasoro import VerificationError, irreducible_model, ising_model
+from voablocks.virasoro import (
+    VerificationError,
+    irreducible_model,
+    ising_model,
+    vacuum_voa,
+    verma_model,
+)
 
 rng = random.Random(20240819)
 
@@ -475,6 +482,69 @@ def test_subspace_span_matches_brute_force_enumeration(name, kind):
     assert [d for d, _ in got] == sorted(d for d, _ in got)
     assert ([(d, list(v.items())) for d, v in got]
             == [(d, list(v.items())) for d, v in _span_by_enumeration(module, spec)])
+
+
+# ---------------------------------------------------------------------------
+# The C2 walk from generator modes against the definition of C2
+
+
+C2_MODELS = {
+    "ising": lambda: ising_model(12),
+    "sigma": lambda: irreducible_model(4, 3, 2, 2, 11),
+    "p5q4-r2s3": lambda: irreducible_model(5, 4, 2, 3, 10),
+    "p6q5-r2s3": lambda: irreducible_model(6, 5, 2, 3, 9),
+    "verma-c1/2-h1/3": lambda: verma_model(Fraction(1, 2), Fraction(1, 3), 9),
+    "vacuum-c7/3": lambda: vacuum_voa(Fraction(7, 3), 10),
+    "heisenberg-rank2": lambda: heisenberg_model(rank=2, cutoff=7),
+    "a1-lambda1": lambda: lattice_model([[2]], [1], cutoff=8),
+    "gram4-lambda1": lambda: lattice_model([[4]], [1], cutoff=8),
+}
+
+
+@pytest.mark.parametrize("name", list(C2_MODELS))
+def test_c2_walk_equals_the_reduced_span_of_every_a_minus_2_w(name):
+    # The rows of the generator-mode walk are the reduced echelon form of
+    # every a(-2)w, a over the whole VOA basis; a reduced form is unique for
+    # its span, so the rows agree entry by entry.
+    module = C2_MODELS[name]()
+    spec = SubspaceSpec("cn", n=2)
+    expected = [Echelon() for _ in range(module.cutoff + 1)]
+    for d, vec in subspace_span(module, spec):
+        expected[d].add(vec)
+    got = _graded_spans(module, spec)
+    assert [ech.pivot_rows for ech in got] == [ech.pivot_rows for ech in expected]
+    if module.is_voa:
+        U, r_u, _ = complement_U(module)
+        assert (U, r_u) == _complement_u_exhaustive(module)
+
+
+def test_c2_walk_takes_no_seeds():
+    # Each degree's rows are read as a basis of C2 there; a seed would leak
+    # into the s(-1) closure.
+    m = ising_model(6)
+    with pytest.raises(ValueError, match="no seeds"):
+        _graded_spans(m, SubspaceSpec("cn", n=2), [(0, {m.vacuum: Fraction(1)})])
+
+
+def test_generator_modes_alone_miss_c3_on_heisenberg():
+    # At degree 4, C3 of Heisenberg holds h(-2)h(-2)1, which no h(-k)w with
+    # k >= 3 reaches: so C3 keeps its a(-3)w recipes.
+    h = heisenberg_model(rank=1, cutoff=6)
+    assert _graded_spans(h, SubspaceSpec("cn", n=3))[4].rank == 3
+    (gen,) = h.labels_at(1)
+    modes = Echelon()
+    for k in (3, 4):
+        for wlab in h.labels_at(4 - k):
+            modes.add(mode_apply(h, {gen: Fraction(1)}, -k, {wlab: Fraction(1)}))
+    assert modes.rank == 2
+
+
+def test_c3_and_b1_walks_keep_their_quotients():
+    m = ising_model(10)
+    assert (quotient_report(m, SubspaceSpec("cn", n=3)).per_degree
+            == [1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0])
+    assert (quotient_report(m, SubspaceSpec("b1")).per_degree
+            == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("p, q", [(5, 3), (7, 2), (5, 4), (9, 2)])
