@@ -89,7 +89,12 @@ class TruncatedModel(ABC):
 
     @property
     def omega(self) -> State:
-        """The conformal vector, as a copy the caller owns."""
+        """The conformal vector, as a copy the caller owns.
+
+        ω has degree 2, so a model truncated below 2 cannot hold it.
+        """
+        if self.cutoff < 2:
+            raise TruncationError(f"omega has degree 2, above cutoff {self.cutoff}")
         return dict(self._omega)
 
     def descriptor(self) -> dict:

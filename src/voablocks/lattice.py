@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -60,11 +61,11 @@ class EvenLattice:
 
     def inner(self, u: Sequence, v: Sequence):
         """<u|v> for coordinate vectors in the lattice basis (an int for integer vectors)."""
-        return sum(x * p for x, p in zip(u, self.pairings(v)))
+        return sum(map(operator.mul, u, self.pairings(v)))
 
     def pairings(self, v: Sequence) -> tuple:
         """(<α_i|v>)_i for a coordinate vector v in the lattice basis."""
-        return tuple(sum(g * x for g, x in zip(row, v)) for row in self.gram)
+        return tuple(sum(map(operator.mul, row, v)) for row in self.gram)
 
     def halfnorm(self, u: Sequence) -> Fraction:
         return Fraction(self.inner(u, u), 2)
@@ -81,24 +82,29 @@ def short_vectors(lat: EvenLattice, shift: Sequence[Fraction], bound: Fraction):
     """All integer g with <shift+g|shift+g>/2 <= bound, with their halfnorms.
 
     Coordinates are boxed by x_i^2 <= <x|x> * (G^{-1})_{ii} (Cauchy-Schwarz
-    against the dual basis vector of norm (G^{-1})_{ii}).
+    against the dual basis vector of norm (G^{-1})_{ii}).  Norms are taken
+    on den*(shift+g), den the shift's common denominator, so each is an
+    integer; g comes in lexicographic order.
     """
     if bound < 0:
         return []
+    den = math.lcm(*(x.denominator for x in shift))
+    num = [int(x * den) for x in shift]
     ranges = []
     for i in range(lat.rank):
         # +1 absorbs the floor of the irrational box radius; the exact
-        # halfnorm filter below discards the overshoot.
+        # norm filter below discards the overshoot.
         k = _floor_sqrt(2 * bound * lat.inv[i][i]) + 1
         lo = math.ceil(-k - shift[i])
         hi = math.floor(k - shift[i])
         ranges.append(range(lo, hi + 1))
+    cap = math.floor(2 * bound * den * den)
     out = []
     for g in itertools.product(*ranges):
-        x = tuple(shift[i] + g[i] for i in range(lat.rank))
-        hn = lat.halfnorm(x)
-        if hn <= bound:
-            out.append((g, hn))
+        x = [n + den * k for n, k in zip(num, g)]
+        n2 = lat.inner(x, x)
+        if n2 <= cap:
+            out.append((g, Fraction(n2, 2 * den * den)))
     return out
 
 
@@ -353,53 +359,36 @@ def heisenberg_model(rank: int = 1, cutoff: int = 8) -> FockModel:
 
 
 def gamma_set(gram, lam_dual=None) -> list[tuple]:
-    """Exactly {β ∈ L : <β-α|α+λ> < 0 for all α ∈ L, α ∉ {β, -λ}}.
+    """Exactly {β ∈ L : <β-α|α+λ> < 0 for all α ∈ L, α ∉ {β, -λ}}, sorted.
 
-    Candidates come from the box |<γ|α_i>| <= <α_i|α_i> on γ = λ+β plus the
-    exceptional γ = ±α_i; each candidate is then verified against the
-    definition, which is a finite check because <δ|γ-δ> < 0 holds
-    automatically (Cauchy-Schwarz) once <δ|δ> > <γ|γ>.
+    Write γ = λ+β, δ = β-α and p_i = <α_i|γ>: Γ is the set of γ with
+    <δ|γ-δ> < 0 for every δ ∈ L ∖ {0, γ}.  Two enumerations suffice:
+    - δ = ±α_i gives |p_i| <= g_ii, with equality only at γ = ±α_i; so
+      every member lies in that box, a necessary condition kept as a filter.
+    - In the box, |γ|² = Σ G⁻¹_ij p_i p_j <= B = Σ |G⁻¹_ij| g_ii g_jj, so
+      the candidates are short_vectors(λ, B/2).
+    - A δ ≠ γ with <δ|δ> >= <γ|γ> passes by Cauchy-Schwarz, since then
+      <δ|γ> < <δ|δ>; so each γ is tested against the δ of
+      short_vectors(0, B/2) with <δ|δ> < <γ|γ> only, and δ = γ never is.
+    - The test is integral: p_i = λ's input pairing + <α_i|β>, and
+      <δ|γ-δ> = Σ δ_i p_i - <δ|δ>.
     """
     lat = EvenLattice(gram)
     r = lat.rank
     lam_alpha = _lambda_alpha(lat, lam_dual)
-    # Box enumeration for beta: |<lam+beta|alpha_i>| <= gram[i][i].
-    half = []
-    for i in range(r):
-        width = sum(abs(lat.inv[i][j]) * lat.gram[j][j] for j in range(r))
-        lo = math.ceil(-width - lam_alpha[i])
-        hi = math.floor(width - lam_alpha[i])
-        half.append(range(lo, hi + 1))
-    candidates = set()
-    for beta in itertools.product(*half):
-        gamma = tuple(lam_alpha[i] + beta[i] for i in range(r))
-        if all(abs(x) <= lat.gram[i][i] for i, x in enumerate(lat.pairings(gamma))):
-            candidates.add(beta)
-    # Exceptional candidates gamma = ±alpha_i (only meaningful when they lie
-    # in lambda + L, i.e. lambda ∈ L); never auto-accepted.
-    if all(x.denominator == 1 for x in lam_alpha):
-        for i in range(r):
-            for sgn in (1, -1):
-                beta = tuple(int(sgn * (k == i) - lam_alpha[k]) for k in range(r))
-                candidates.add(beta)
+    lam_pair = [int(x) for x in lat.pairings(lam_alpha)]
+    half = Fraction(sum(abs(lat.inv[i][j]) * lat.gram[i][i] * lat.gram[j][j]
+                        for i in range(r) for j in range(r)), 2)
+    deltas = [(d, int(2 * hn)) for d, hn in short_vectors(lat, (0,) * r, half) if any(d)]
     out = []
-    for beta in sorted(candidates):
-        gamma = tuple(lam_alpha[i] + beta[i] for i in range(r))
-        if _in_phi_gamma(lat, gamma):
+    for beta, hn in short_vectors(lat, lam_alpha, half):
+        p = [x + y for x, y in zip(lam_pair, lat.pairings(beta))]
+        if any(abs(x) > lat.gram[i][i] for i, x in enumerate(p)):
+            continue
+        cap = math.ceil(2 * hn)  # an integer <δ|δ> is below <γ|γ> iff below cap
+        if all(sum(map(operator.mul, d, p)) < n2 for d, n2 in deltas if n2 < cap):
             out.append(beta)
     return out
-
-
-def _in_phi_gamma(lat: EvenLattice, gamma: tuple) -> bool:
-    """Whether <δ|γ-δ> < 0 for every δ ∈ L with δ ∉ {0, γ}."""
-    zero = (0,) * lat.rank
-    for delta, hn in short_vectors(lat, zero, lat.halfnorm(gamma)):
-        if delta == zero or delta == gamma:
-            continue
-        diff = tuple(gamma[i] - delta[i] for i in range(lat.rank))
-        if lat.inner(delta, diff) >= 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

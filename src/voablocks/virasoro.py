@@ -173,6 +173,9 @@ class VirasoroModel(TruncatedModel):
                          omega={(2,): Fraction(1)}, vacuum=(), is_voa=is_voa, voa=voa)
         self.action = VermaAction(self.central_charge, self.lowest_weight)
         self._build_quotient(submodule_gens or [])
+        if self.cutoff >= 2:
+            # ω = L_{-2}1 in the quotient basis; 0 where L_{-2}1 is singular (c = 0).
+            self._omega = self.reduce_partition_state(self._omega)
         if is_voa and any(map(_has_one, self.degrees)):
             raise VerificationError("quotient basis of a VOA model contains L_{-1} monomials")
 

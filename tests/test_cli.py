@@ -373,6 +373,32 @@ def test_quotient_spaces_other_than_c2(capsys, space, per_degree, window):
     assert result["stabilized"] is True and result["window"] == window
 
 
+C0_VOA = '{"kind": "virasoro-irreducible", "p": 3, "q": 2, "r": 1, "s": 1}'
+
+
+def test_cmu_quotient_of_the_c0_voa(capsys):
+    # At c = 0, L_{-2}1 is singular, so the VOA is C1 and ω = 0 in its basis.
+    code, out = run(capsys, "quotient", "--space", "cmu", "--model", C0_VOA,
+                    "--cutoff", "4")
+    assert code == 0
+    assert json.loads(out)["result"]["per_degree"] == [1, 0, 0, 0, 0]
+
+
+def test_check_identities_on_the_c0_voa(capsys):
+    code, out = run(capsys, "check-identities", "--model", C0_VOA, "--cutoff", "4",
+                    "--samples", "20")
+    assert code == 0
+    assert json.loads(out)["result"]["ok"] is True
+
+
+@pytest.mark.parametrize("model", ["ising", "a1"])
+def test_cmu_quotient_below_the_weight_of_omega_is_a_truncation(capsys, model):
+    code = main(["quotient", "--space", "cmu", "--model", model, "--cutoff", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("truncation: omega has degree 2")
+
+
 @pytest.mark.parametrize("model, per_degree", [
     ('{"kind": "virasoro-vacuum", "c": "1/2"}', [1, 0, 1, 0, 1, 0, 1]),  # C[omega]
     ('{"kind": "virasoro-verma", "c": "1/2", "h": "1/16"}', [1, 1, 2, 2, 3, 3, 4]),

@@ -215,18 +215,86 @@ def test_gamma_set_a3_is_roots_or_minuscule_weights(k):
     assert got == expected
 
 
+def _d4_norm(x):
+    return sum(D4[i][j] * x[i] * x[j] for i in range(4) for j in range(4))
+
+
+def test_gamma_set_d4_root_lattice_is_zero_and_the_24_roots():
+    roots = {b for b in itertools.product(range(-2, 3), repeat=4) if _d4_norm(b) == 2}
+    assert len(roots) == 24
+    assert gamma_set(D4, [0, 0, 0, 0]) == sorted(roots | {(0, 0, 0, 0)})
+
+
+# Alpha coordinates of the D4 weights ω_1, ω_3, ω_4 (node 2 is the central one).
+_D4_MINUSCULE = {0: (1, 1, Fraction(1, 2), Fraction(1, 2)),
+                 2: (Fraction(1, 2), 1, 1, Fraction(1, 2)),
+                 3: (Fraction(1, 2), 1, Fraction(1, 2), 1)}
+
+
+@pytest.mark.parametrize("node", sorted(_D4_MINUSCULE))
+def test_gamma_set_d4_minuscule_coset_is_its_8_minimal_vectors(node):
+    lam = _D4_MINUSCULE[node]
+    coset = [tuple(x + b for x, b in zip(lam, beta))
+             for beta in itertools.product(range(-3, 4), repeat=4)]
+    low = min(map(_d4_norm, coset))
+    minimal = {x for x in coset if _d4_norm(x) == low}
+    assert low == 1 and len(minimal) == 8
+    lam_dual = [int(i == node) for i in range(4)]
+    got = {tuple(x + b for x, b in zip(lam, beta)) for beta in gamma_set(D4, lam_dual)}
+    assert got == minimal
+
+
+def _gamma_set_by_definition(gram, box):
+    """{β : <β-α|α> < 0 for all α ∉ {β, 0}}, β and α in a coordinate box."""
+    r = len(gram)
+
+    def inner(u, v):
+        return sum(gram[i][j] * u[i] * v[j] for i in range(r) for j in range(r))
+
+    alphas = list(itertools.product(range(-2 * box, 2 * box + 1), repeat=r))
+    out = []
+    for beta in itertools.product(range(-box, box + 1), repeat=r):
+        if all(inner(tuple(b - a for b, a in zip(beta, alpha)), alpha) < 0
+               for alpha in alphas if alpha != beta and any(alpha)):
+            assert max(map(abs, beta)) < box, "enlarge the box"
+            out.append(beta)
+    return out
+
+
 def test_gamma_set_box_bound_random_rank2():
-    for _ in range(10):
-        while True:
-            a = rng.randrange(2, 7, 2)
-            c = rng.randrange(2, 7, 2)
-            b = rng.randint(-3, 3)
-            if a * c - b * b > 0 and abs(b) <= 6:
-                break
-        gram = [[a, b], [b, c]]
+    grams = [[[2, 3], [3, 6]]]  # a basis that is not reduced: |<α_1|α_2>| > <α_1|α_1>
+    while len(grams) < 11:
+        a = rng.randrange(2, 7, 2)
+        c = rng.randrange(2, 7, 2)
+        b = rng.randint(-3, 3)
+        if a * c - b * b > 0:
+            grams.append([[a, b], [b, c]])
+    for gram in grams:
+        (a, b), (_, c) = gram
         out = gamma_set(gram)
-        bound = (2 * a + 1) * (2 * c + 1) + 4
-        assert len(out) <= bound
+        assert len(out) <= (2 * a + 1) * (2 * c + 1) + 4
+        assert out == _gamma_set_by_definition(gram, box=5)
+
+
+def test_short_vectors_match_a_plain_fraction_filter():
+    # Shifts with several denominators, against the halfnorm filter written out.
+    for gram in (A1, A2, [[2, 3], [3, 6]], [[4, 1], [1, 2]], A3):
+        r = len(gram)
+        lat = EvenLattice(gram)
+        for _ in range(4):
+            shift = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(r))
+            bound = Fraction(rng.randint(0, 8), rng.randint(1, 3))
+            box = 7  # around g = -shift, rounded
+            centre = [-(s.numerator // s.denominator) for s in shift]
+            expected = []
+            for g in itertools.product(*(range(c - box, c + box + 1) for c in centre)):
+                x = [s + k for s, k in zip(shift, g)]
+                hn = sum(Fraction(gram[i][j]) * x[i] * x[j]
+                         for i in range(r) for j in range(r)) / 2
+                if hn <= bound:
+                    assert max(abs(k - c) for k, c in zip(g, centre)) < box, "enlarge the box"
+                    expected.append((g, hn))
+            assert short_vectors(lat, shift, bound) == expected
 
 
 def test_single_jump_signs():
