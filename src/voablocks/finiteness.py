@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     State,
@@ -144,15 +144,16 @@ def _c2_terms(module: TruncatedModel, gens: Sequence[tuple], spans: Sequence[Ech
             yield {s: Fraction(1)}, 1, x
 
 
-def _graded_spans(module: TruncatedModel, spec: SubspaceSpec | None,
-                  seeds: Iterable[tuple[int, State]] = ()) -> list[Echelon]:
-    """One echelon per degree, spanning the seeds (d, v) and spec's generators.
+def _graded_spans(module: TruncatedModel, spec: SubspaceSpec) -> list[Echelon]:
+    """One echelon per degree, spanning the generators of ``spec``.
 
     Each degree walks its own recipes and stops once its rank reaches
     dim W(d).  This is exact: at full rank every further ``add`` returns
     False and leaves the echelon unchanged, so the ranks are those of the
     whole ``subspace_span`` list.  A generator that is never needed is
-    never built, so it can no longer raise a ``TruncationError``.
+    never built, so it can no longer raise a ``TruncationError``.  A caller
+    that owns further vectors adds them after the walk: a degree the walk
+    left short holds every generator, so the ranks are those of both lists.
 
     C2(W) (spec "cn" with n = 2) is walked from generator modes instead of
     a(-2)w over every basis state a (``_c2_terms``).  Let S be the VOA's
@@ -174,24 +175,17 @@ def _graded_spans(module: TruncatedModel, spec: SubspaceSpec | None,
 
     Degrees are walked in ascending order and each stops only at full
     rank, so when degree d is walked the rows of degree d - wt s are a
-    basis of C2(W) there, and s(-1) on those rows is all of s(-1)G.  A
-    seed would enter that basis, so seeds with C2 raise ``ValueError``.
-    The trick is C2's alone: on Heisenberg at degree 4, C3 holds
+    basis of C2(W) there, and s(-1) on those rows is all of s(-1)G.  The
+    trick is C2's alone: on Heisenberg at degree 4, C3 holds
     h(-2)h(-2)1, which no h(-k)w with k >= 3 reaches.  So every other spec
     keeps its definitional recipes (``_span_terms``).
     """
-    seeds = list(seeds)
-    c2 = spec is not None and spec.kind == "cn" and spec.n == 2
-    if c2 and seeds:
-        raise ValueError("the C2 walk reads each degree's rows as C2 there; "
-                         "it takes no seeds")
+    c2 = spec.kind == "cn" and spec.n == 2
     spans = [Echelon() for _ in range(module.cutoff + 1)]
-    for d, vec in seeds:
-        spans[d].add(vec)
     voa = module.voa
     gens = [(t, wt) for wt in range(1, module.cutoff + 1) for t in voa.labels_at(wt)
             if voa.decompose(t)[0] == "gen"] if c2 else ()
-    for d, ech in enumerate(spans) if spec else ():
+    for d, ech in enumerate(spans):
         if c2:
             terms = _c2_terms(module, gens, spans, d)
         else:
@@ -272,10 +266,10 @@ def spanning_set_check(model: TruncatedModel, U: Sequence[Mapping]) -> list[bool
     """Degreewise: do strictly-decreasing-mode U-monomials span V?"""
     if not model.is_voa:
         raise ValueError("spanning_set_check expects a VOA model")
-    monos = _decreasing_monomials(model, U, model.cutoff)
-    seeds = [(0, {model.vacuum: Fraction(1)})]
-    seeds += [(model.state_degree(s), s) for s in monos]
-    spans = _graded_spans(model, None, seeds)
+    spans = [Echelon() for _ in range(model.cutoff + 1)]
+    spans[0].add({model.vacuum: Fraction(1)})
+    for s in _decreasing_monomials(model, U, model.cutoff):
+        spans[model.state_degree(s)].add(s)
     return [ech.rank == model.dim(d) for d, ech in enumerate(spans)]
 
 

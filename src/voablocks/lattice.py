@@ -361,6 +361,9 @@ def heisenberg_model(rank: int = 1, cutoff: int = 8) -> FockModel:
 def gamma_set(gram, lam_dual=None) -> list[tuple]:
     """Exactly {β ∈ L : <β-α|α+λ> < 0 for all α ∈ L, α ∉ {β, -λ}}, sorted.
 
+    β is relative to λ as given, not to λ reduced modulo L, to which a
+    model's momentum labels are relative.
+
     Write γ = λ+β, δ = β-α and p_i = <α_i|γ>: Γ is the set of γ with
     <δ|γ-δ> < 0 for every δ ∈ L ∖ {0, γ}.  Two enumerations suffice:
     - δ = ±α_i gives |p_i| <= g_ii, with equality only at γ = ±α_i; so
@@ -430,11 +433,13 @@ def single_jump_check(gram, lam_dual, alpha: Sequence[int], beta: Sequence[int])
 def b1_span_check(gram, lam_dual, cutoff: int) -> dict:
     """Degreewise check that span{e_{λ+β} : β ∈ Γ_λ} + B₁ fills V_{λ+L}."""
     model = lattice_model(gram, lam_dual, cutoff)
-    gammas = gamma_set(gram, lam_dual)
-    grounds = [((), beta) for beta in gammas]
-    seeds = [(model.degrees[lab], {lab: Fraction(1)}) for lab in grounds
-             if lab in model.degrees]
-    spans = _graded_spans(model, SubspaceSpec("b1"), seeds)
+    # Γ for the model's reduced λ, so that each β is one of its momentum labels.
+    gammas = gamma_set(gram, model.lattice.pairings(model.lam_alpha))
+    spans = _graded_spans(model, SubspaceSpec("b1"))
+    for beta in gammas:
+        lab = ((), beta)
+        if lab in model.degrees:
+            spans[model.degrees[lab]].add({lab: Fraction(1)})
     deficiencies = [model.dim(d) - ech.rank for d, ech in enumerate(spans)]
     return {
         "per_degree_deficiency": deficiencies,

@@ -55,8 +55,6 @@ def qstr(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # Sparse vectors and incremental elimination
 
-SparseVector = dict  # index -> Fraction, no stored zeros
-
 
 def vec_add_scaled(dst: dict, src: Mapping, coeff: Fraction | int) -> None:
     """dst += coeff * src, dropping entries that cancel to zero.
@@ -188,18 +186,21 @@ class Echelon:
 
 class _Expr:
     """Coordinate carrying the expression weight of input ``index`` in a
-    ``SolverEchelon`` row.  It hashes and compares by identity, in C, so it
-    never equals a real key or another row's coordinate."""
+    ``SolverEchelon`` row.  It hashes and tests equality by identity, in C,
+    so it never equals a real key or another row's coordinate.  It sorts
+    after every real key (whose own ``<`` yields to ``__gt__``), so it never
+    pivots."""
 
     __slots__ = ("index",)
 
     def __init__(self, index):
         self.index = index
 
+    def __lt__(self, other):
+        return False
 
-def _solver_pivot_key(k):
-    # Expression coordinates sort after every real key, so they never pivot.
-    return (1,) if isinstance(k, _Expr) else (0, k)
+    def __gt__(self, other):
+        return not isinstance(other, _Expr)
 
 
 class SolverEchelon(Echelon):
@@ -210,9 +211,6 @@ class SolverEchelon(Echelon):
     that was subtracted.  The added rows are independent, so the
     combination ``solve`` returns is unique.
     """
-
-    def __init__(self):
-        super().__init__(pivot_key=_solver_pivot_key)
 
     def add(self, vec: Mapping, index) -> bool:
         """Insert vec as input ``index``; returns True if it increased the rank."""

@@ -518,14 +518,6 @@ def test_c2_walk_equals_the_reduced_span_of_every_a_minus_2_w(name):
         assert (U, r_u) == _complement_u_exhaustive(module)
 
 
-def test_c2_walk_takes_no_seeds():
-    # Each degree's rows are read as a basis of C2 there; a seed would leak
-    # into the s(-1) closure.
-    m = ising_model(6)
-    with pytest.raises(ValueError, match="no seeds"):
-        _graded_spans(m, SubspaceSpec("cn", n=2), [(0, {m.vacuum: Fraction(1)})])
-
-
 def test_generator_modes_alone_miss_c3_on_heisenberg():
     # At degree 4, C3 of Heisenberg holds h(-2)h(-2)1, which no h(-k)w with
     # k >= 3 reaches: so C3 keeps its a(-3)w recipes.

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from voablocks.blocks import (LabeledLine, PointedLine, bracket_closure_check,
                               coinvariant_report, section_basis)
@@ -339,7 +340,14 @@ def _b1_deficiencies_exhaustive(gram, lam_dual, cutoff):
     """b1_span_check's deficiencies with every a(-1)w and every ground added."""
     voa = FockModel(gram, None, cutoff)
     model = voa if not any(lam_dual) else FockModel(gram, lam_dual, cutoff, voa=voa)
-    grounds = [((), beta) for beta in gamma_set(gram, lam_dual)]
+    # gamma_set's β is relative to λ as given; the model's labels are relative
+    # to its reduced λ, so shift β by the integer vector λ_α - model.lam_alpha.
+    inv = sympy.Matrix(gram).inv()
+    lam_alpha = [sum(inv[i, j] * x for j, x in enumerate(lam_dual)) for i in range(len(gram))]
+    shift = [x - y for x, y in zip(lam_alpha, model.lam_alpha)]
+    assert all(k.is_integer for k in shift)
+    grounds = [((), tuple(int(b + k) for b, k in zip(beta, shift)))
+               for beta in gamma_set(gram, lam_dual)]
     out = []
     for d in range(cutoff + 1):
         ech = Echelon()
@@ -358,10 +366,35 @@ def _b1_deficiencies_exhaustive(gram, lam_dual, cutoff):
 
 @pytest.mark.parametrize("gram, lam, cutoff", [
     (A1, [0], 5), (A1, [1], 5), (A2, [0, 0], 3), (A2, [1, 0], 3), (A2, [0, 1], 3),
+    (A1, [3], 5), ([[2, 1], [1, 4]], [1, 0], 4),
 ])
 def test_b1_span_check_matches_exhaustive_loop(gram, lam, cutoff):
     rep = b1_span_check(gram, lam, cutoff)
     assert rep["per_degree_deficiency"] == _b1_deficiencies_exhaustive(gram, lam, cutoff)
+
+
+@pytest.mark.parametrize("gram, lam, cutoff", [
+    (A1, [3], 4), (A1, [-1], 4), (A1, [4], 4), (A1, [5], 4), (A2, [2, 0], 3),
+    ([[2, 1], [1, 4]], [1, 0], 4), (D4, [1, 0, 0, 0], 2),
+])
+def test_b1_span_check_holds_for_lambda_outside_the_box(gram, lam, cutoff):
+    # Each λ has α-coordinates outside [0,1)^r, where the model reduces λ;
+    # Γ must be read in the model's coordinates for its ground states to land.
+    rep = b1_span_check(gram, lam, cutoff)
+    assert rep["ok"], rep
+    assert rep["per_degree_deficiency"] == [0] * (cutoff + 1)
+
+
+@pytest.mark.parametrize("gram, cutoff", [(A1, 4), (A2, 3), ([[4]], 4), ([[2, 1], [1, 4]], 4)])
+def test_b1_span_check_depends_only_on_the_coset(gram, cutoff):
+    # λ and λ + G·k give the same module V_{λ+L}, so the same report.
+    r = len(gram)
+    draw = random.Random(str(gram))
+    for _ in range(4):
+        lam = [draw.randint(-2, 2) for _ in range(r)]
+        k = [draw.randint(-2, 2) for _ in range(r)]
+        moved = [x + sum(g * y for g, y in zip(row, k)) for x, row in zip(lam, gram)]
+        assert b1_span_check(gram, lam, cutoff) == b1_span_check(gram, moved, cutoff), (lam, k)
 
 
 # ---------------------------------------------------------------------------
