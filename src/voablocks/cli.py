@@ -9,6 +9,7 @@ byte-identical bodies.  Exit codes: 0 success, 1 schema violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -158,16 +159,15 @@ def cmd_check_identities(args) -> tuple[dict, dict, int]:
         kind = rng.choice(kinds)
         e = args.max_exponent
         params = {"a": pick(voa, voa_degs), "w": pick(module, mod_degs)}
-        if kind == "translation":
-            params["q"] = rng.randint(-e, e)
-        else:
+        if kind != "translation":
             params["b"] = pick(voa, voa_degs)
-            params["p" if kind != "associativity" else "n"] = (
-                rng.randint(-e, e) if kind != "associativity"
-                else rng.randint(1, e))
-            params["q"] = rng.randint(-e, e)
-            if kind == "borcherds":
-                params["r"] = rng.randint(-e, e)
+        if kind in ("borcherds", "commutator"):
+            params["p"] = rng.randint(-e, e)
+        elif kind == "associativity":
+            params["n"] = rng.randint(1, e)
+        params["q"] = rng.randint(-e, e)
+        if kind == "borcherds":
+            params["r"] = rng.randint(-e, e)
         try:
             residual = check_identity(module, kind, **params)
         except TruncationError:
@@ -360,83 +360,72 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; argparse keeps no state between parses.
+
+    Each flag that several commands share is declared once, in a parent.
+    """
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="also write the JSON report to a file")
+    output.add_argument("--table", action="store_true",
+                        help="render the result as aligned text")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", default="ising")
+    model.add_argument("--cutoff", type=_nonnegative_int, default=8)
+    minimal = argparse.ArgumentParser(add_help=False)
+    for flag in "pqrs":
+        minimal.add_argument(f"-{flag}", type=int, required=True)
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--gram", required=True)
+    lattice.add_argument("--lambda", dest="lam", default=None)
+
+    def leaf(subparsers, name, fn, *parents):
+        sp = subparsers.add_parser(name, parents=[output, *parents])
+        sp.set_defaults(fn=fn)
+        return sp
+
     p = _Parser(prog="voablocks", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", help="also write the JSON report to a file")
-        sp.add_argument("--table", action="store_true",
-                        help="render the result as aligned text")
-
-    ci = sub.add_parser("check-identities", parents=[], add_help=True)
-    ci.add_argument("--model", default="ising")
-    ci.add_argument("--cutoff", type=_nonnegative_int, default=8)
+    ci = leaf(sub, "check-identities", cmd_check_identities, model)
     ci.add_argument("--samples", type=_positive_int, default=200)
     ci.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ci.add_argument("--max-exponent", type=_positive_int, default=4)
-    ci.set_defaults(fn=cmd_check_identities)
-    common(ci)
 
     vir = sub.add_parser("virasoro")
     vsub = vir.add_subparsers(dest="subcommand", required=True)
-    vs = vsub.add_parser("singular")
+    vs = leaf(vsub, "singular", cmd_virasoro_singular)
     vs.add_argument("--c")
     vs.add_argument("--h")
     for flag in "pqrs":
         vs.add_argument(f"-{flag}", type=int, default=None)
     vs.add_argument("--level", type=_nonnegative_int, required=True)
-    vs.set_defaults(fn=cmd_virasoro_singular)
-    common(vs)
-    vf = vsub.add_parser("ff-verify")
-    for flag in "pqrs":
-        vf.add_argument(f"-{flag}", type=int, required=True)
-    vf.set_defaults(fn=cmd_virasoro_ff_verify)
-    common(vf)
-    vb = vsub.add_parser("bounds")
-    for flag in "pqrs":
-        vb.add_argument(f"-{flag}", type=int, required=True)
-    vb.set_defaults(fn=cmd_virasoro_bounds)
-    common(vb)
+    leaf(vsub, "ff-verify", cmd_virasoro_ff_verify, minimal)
+    leaf(vsub, "bounds", cmd_virasoro_bounds, minimal)
 
-    qu = sub.add_parser("quotient")
+    qu = leaf(sub, "quotient", cmd_quotient, model)
     qu.add_argument("--space", choices=("c2", "cn", "b1", "cmu"), required=True)
-    qu.add_argument("--model", default="ising")
-    qu.add_argument("--cutoff", type=_nonnegative_int, default=8)
     qu.add_argument("--n", type=int, default=2)
     qu.add_argument("--m", type=int, default=1)
     qu.add_argument("--window", type=_positive_int, default=None)
-    qu.set_defaults(fn=cmd_quotient)
-    common(qu)
 
     la = sub.add_parser("lattice")
     lsub = la.add_subparsers(dest="subcommand", required=True)
-    lg = lsub.add_parser("gamma")
-    lg.add_argument("--gram", required=True)
-    lg.add_argument("--lambda", dest="lam", default=None)
-    lg.set_defaults(fn=cmd_lattice_gamma)
-    common(lg)
-    lb = lsub.add_parser("b1check")
-    lb.add_argument("--gram", required=True)
-    lb.add_argument("--lambda", dest="lam", default=None)
+    leaf(lsub, "gamma", cmd_lattice_gamma, lattice)
+    lb = leaf(lsub, "b1check", cmd_lattice_b1check, lattice)
     lb.add_argument("--cutoff", type=_nonnegative_int, default=6)
-    lb.set_defaults(fn=cmd_lattice_b1check)
-    common(lb)
 
     bl = sub.add_parser("blocks")
     bsub = bl.add_subparsers(dest="subcommand", required=True)
-    bd = bsub.add_parser("dim")
+    bd = leaf(bsub, "dim", cmd_blocks_dim)
     bd.add_argument("--config", required=True)
-    bd.set_defaults(fn=cmd_blocks_dim)
-    common(bd)
 
     rr = sub.add_parser("rr")
     rsub = rr.add_subparsers(dest="subcommand", required=True)
-    rg = rsub.add_parser("gaps")
+    rg = leaf(rsub, "gaps", cmd_rr_gaps)
     rg.add_argument("--genus", type=int, required=True)
     rg.add_argument("--r-u", type=int, default=1)
-    rg.set_defaults(fn=cmd_rr_gaps)
-    common(rg)
 
     return p
 

@@ -28,8 +28,10 @@ class EvenLattice:
     """Positive-definite integral lattice presented by its Gram matrix."""
 
     def __init__(self, gram: Sequence[Sequence[int]], require_even: bool = True):
+        matrix = isinstance(gram, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) for row in gram)
         try:
-            q = [[qparse(x) for x in row] for row in gram]
+            q = [[qparse(x) for x in row] for row in gram] if matrix else None
         except (TypeError, ValueError, OverflowError):
             q = None
         if q is None or any(x.denominator != 1 for row in q for x in row):
@@ -115,10 +117,12 @@ def short_vectors(lat: EvenLattice, shift: Sequence[Fraction], bound: Fraction):
 def _lambda_alpha(lat: EvenLattice, lam_dual: Sequence | None) -> tuple:
     """Alpha-basis coordinates of λ from its pairings with the basis α_i.
 
-    An empty or absent λ means zero; otherwise it needs one integer per
-    basis vector.
+    λ is a list or tuple; an empty or absent one means zero, and otherwise it
+    needs one integer per basis vector.
     """
     r = lat.rank
+    if not isinstance(lam_dual, (list, tuple, type(None))):
+        raise ValueError(f"lambda must be a list of integers, got {lam_dual!r}")
     try:
         lam_dual = tuple(qparse(x) for x in (lam_dual or (0,) * r))
     except (TypeError, ValueError, OverflowError):

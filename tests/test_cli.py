@@ -75,7 +75,7 @@ def test_ff_verify_command(capsys):
 SIGMA = '{"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 2}'
 
 
-@pytest.mark.parametrize("argv, digest", [
+PINNED_DIGESTS = [
     (("check-identities", "--model", "ising", "--cutoff", "8"),
      "e3e071d781533aa0013978b5f1b5998b614b67ed94fb301b8f2430e61f843807"),
     (("check-identities", "--model", "a1", "--cutoff", "6"),
@@ -90,15 +90,37 @@ SIGMA = '{"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 2}'
      "5989262e2b295c194f51a4ea37de577ed54ed8a024281a22a92dabef2f57571d"),
     (("virasoro", "bounds", "-p", "9", "-q", "2", "-r", "1", "-s", "4"),
      "df9d7705b58f02bee591c8d9ec9aecb656df93849f99b5c4a88bc296bf90ad60"),
-], ids=["identities-ising-8", "identities-a1-6", "identities-sigma-7",
-        "ff-verify-5-3-2-2", "ff-verify-7-2-1-3", "bounds-5-4-2-2", "bounds-9-2-1-4"])
+]
+
+
+def _result_digest(out):
+    result = json.loads(out)["result"]
+    return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_DIGESTS, ids=[
+    "identities-ising-8", "identities-a1-6", "identities-sigma-7",
+    "ff-verify-5-3-2-2", "ff-verify-7-2-1-3", "bounds-5-4-2-2", "bounds-9-2-1-4"])
 def test_report_body_matches_its_recorded_digest(capsys, argv, digest):
     """Report bodies that bench/digests.json does not cover, pinned by the
     sha256 of ``json.dumps(result, sort_keys=True)`` from an earlier tree."""
     code, out = run(capsys, *argv)
     assert code == 0
-    result = json.loads(out)["result"]
-    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest
+    assert _result_digest(out) == digest
+
+
+def test_one_parser_serves_every_call(capsys):
+    from voablocks.cli import build_parser
+
+    assert build_parser() is build_parser()
+    # Failed parses leave nothing behind in the parser for the next call.
+    assert main(["quotient", "--model", "ising"]) == 1  # no --space
+    assert main(["quotient", "--space", "c2", "--cutoff", "-1"]) == 1
+    capsys.readouterr()
+    argv, digest = PINNED_DIGESTS[1]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert _result_digest(out) == digest
 
 
 def test_rr_gaps_command(capsys):
@@ -148,13 +170,41 @@ def test_lambda_of_the_wrong_length_is_a_schema_error(capsys, argv):
     assert captured.err.startswith("schema error: lambda has")
 
 
-@pytest.mark.parametrize("gram", ["[[2.5]]", "5", "[5]", "[[2, 1], [1, 2.5]]"])
+@pytest.mark.parametrize("gram", ["[[2.5]]", "5", "[5]", "[[2, 1], [1, 2.5]]",
+                                  '["2"]', "{}"])
 def test_non_integral_or_non_matrix_gram_is_a_schema_error(capsys, gram):
     # [[2.5]] was truncated to [[2]], and a bare number hit a TypeError.
+    # ["2"] read as [[2]], and {} as the rank-0 Gram.
     assert main(["lattice", "gamma", "--gram", gram]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("schema error: Gram matrix")
+
+
+A2 = "[[2,-1],[-1,2]]"
+NOT_A_MATRIX = "Gram matrix must be a matrix of integers, got "
+NOT_A_LIST = "lambda must be a list of integers, got "
+
+
+@pytest.mark.parametrize("argv, message", [
+    # A string, an object or a number read as a list of its characters, or as zero.
+    (["lattice", "gamma", "--gram", A2, "--lambda", '"10"'], NOT_A_LIST + "'10'"),
+    (["lattice", "gamma", "--gram", A2, "--lambda", "{}"], NOT_A_LIST + "{}"),
+    (["lattice", "b1check", "--gram", "[[2]]", "--lambda", "0", "--cutoff", "2"],
+     NOT_A_LIST + "0"),
+    (["lattice", "b1check", "--gram", '["2"]', "--cutoff", "2"], NOT_A_MATRIX + "['2']"),
+    (["quotient", "--space", "c2", "--cutoff", "2",
+      "--model", '{"kind": "lattice", "gram": {}}'], NOT_A_MATRIX + "{}"),
+    (["quotient", "--space", "c2", "--cutoff", "2",
+      "--model", '{"kind": "lattice", "gram": [[2]], "lambda": 0}'], NOT_A_LIST + "0"),
+], ids=["gamma-string-lambda", "gamma-object-lambda", "b1check-number-lambda",
+        "b1check-string-row", "descriptor-object-gram", "descriptor-number-lambda"])
+def test_a_gram_or_lambda_that_is_not_a_json_array_is_a_schema_error(capsys, argv,
+                                                                      message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"schema error: {message}\n"
 
 
 def test_blocks_dim_builds_each_distinct_label_once(tmp_path, capsys, monkeypatch):
@@ -296,15 +346,33 @@ def test_zero_cutoff_is_accepted(capsys):
     assert json.loads(out)["result"]["per_degree"] == [1]
 
 
-def test_out_and_table_flags(tmp_path, capsys):
+def _command(argv):
+    return " ".join(a for a in argv[:2] if not a.startswith("-"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-identities", "--cutoff", "4", "--samples", "2"],
+    ["virasoro", "singular", "--c", "1/2", "--h", "1/16", "--level", "2"],
+    ["virasoro", "ff-verify", "-p", "4", "-q", "3", "-r", "2", "-s", "2"],
+    ["virasoro", "bounds", "-p", "4", "-q", "3", "-r", "1", "-s", "1"],
+    ["quotient", "--space", "c2", "--cutoff", "2"],
+    ["lattice", "gamma", "--gram", "[[2]]"],
+    ["lattice", "b1check", "--gram", "[[2]]", "--cutoff", "2"],
+    ["blocks", "dim", "--config"],
+    ["rr", "gaps", "--genus", "1"],
+], ids=lambda argv: _command(argv).replace(" ", "-"))
+def test_out_and_table_flags(tmp_path, capsys, argv):
+    if argv[0] == "blocks":
+        argv = argv + [_blocks_config(tmp_path, D=10, P=4)]
     out_path = tmp_path / "report.json"
-    code, out = run(capsys, "virasoro", "bounds",
-                    "-p", "4", "-q", "3", "-r", "1", "-s", "1",
-                    "--table", "--out", str(out_path))
+    code, out = run(capsys, *argv, "--table", "--out", str(out_path))
     assert code == 0
-    assert "c2_vacuum_bound" in out and "{" not in out.splitlines()[0]
     saved = json.loads(out_path.read_text())
-    assert saved["result"]["c2_vacuum_bound"] == 3
+    assert saved["command"] == _command(argv)
+    lines = out.splitlines()
+    assert not lines[0].startswith("{")
+    assert sorted(line.split()[0] for line in lines) == sorted(saved["result"])
+    assert run(capsys, *argv) == (code, out_path.read_text())  # the report, byte for byte
 
 
 @pytest.mark.parametrize("gram", ["[[2,2],[2,2]]", "[[2,3],[3,2]]", "[[-2]]",
@@ -339,10 +407,11 @@ def test_a_descriptor_that_is_not_an_object_is_a_schema_error(tmp_path, capsys,
 def test_internal_failures_have_their_own_exit_codes(capsys, monkeypatch, error, code, prefix):
     from voablocks import cli, core
 
-    def failing(args):
+    def failing(genus, r_u):
         raise getattr(core, error)("injected")
 
-    monkeypatch.setattr(cli, "cmd_rr_gaps", failing)
+    # The parser holds cmd_rr_gaps itself, so the failure goes into its library call.
+    monkeypatch.setattr(cli, "m_constant_and_gaps", failing)
     assert main(["rr", "gaps", "--genus", "0"]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -505,6 +574,9 @@ def test_blocks_dim_with_lattice_labels(tmp_path, capsys, labels, est):
      "blocks: cannot interpret label {'r': 2, 's': 2} over a lattice model"),
     ({**A1_PAIR, "labels": ["sigma", "vacuum"]},
      "blocks: cannot interpret label 'sigma' over a lattice model"),
+    # The string "1" read as the list [1].
+    ({**A1_PAIR, "labels": [{"lambda": "1"}, {"lambda": [1]}]},
+     "lambda must be a list of integers, got '1'"),
     ({"points": ["0"], "labels": ["vacuum"], "P": 2,
       "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}},
      "config: missing field 'D'"),
@@ -514,7 +586,7 @@ def test_blocks_dim_with_lattice_labels(tmp_path, capsys, labels, est):
     ({"points": ["0"], "labels": [{"r": 2, "s": False}], "D": 4, "P": 2,
       "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}},
      "blocks: label field 's' must be an integer, got False"),
-], ids=["virasoro-label", "string-label", "no-D", "float-r", "bool-s"])
+], ids=["virasoro-label", "string-label", "string-lambda", "no-D", "float-r", "bool-s"])
 def test_blocks_dim_rejects_uninterpretable_labels_and_missing_fields(
         tmp_path, capsys, config, message):
     path = tmp_path / "blocks.json"
