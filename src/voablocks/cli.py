@@ -27,9 +27,9 @@ from .blocks import (
     rr_h0,
 )
 from .lattice import (
-    EvenLattice,
+    _gamma,
+    _parse_lattice,
     b1_span_check,
-    gamma_set,
     heisenberg_model,
     lattice_model,
 )
@@ -263,23 +263,25 @@ def _alpha_string(vec) -> str:
     return "".join(parts)
 
 
-def cmd_lattice_gamma(args) -> tuple[dict, dict, int]:
+def _lattice_config(args) -> dict:
+    """--gram and --lambda parsed as JSON; only an absent --lambda is None."""
     gram = _json_arg("gram", args.gram)
-    lam = _json_arg("lambda", args.lam) if args.lam else None
-    lat = EvenLattice(gram)
-    gammas = gamma_set(gram, lam)
+    return {"gram": gram, "lambda": None if args.lam is None else _json_arg("lambda", args.lam)}
+
+
+def cmd_lattice_gamma(args) -> tuple[dict, dict, int]:
+    config = _lattice_config(args)
+    lat, lam_alpha = _parse_lattice(config["gram"], config["lambda"])
+    gammas = _gamma(lat, lam_alpha)
     gammas.sort(key=lambda g: (lat.halfnorm(g), tuple(-x for x in g)))
     result = {"gamma": [_alpha_string(g) for g in gammas],
               "size": len(gammas)}
-    config = {"gram": gram, "lambda": lam}
     return config, result, 0
 
 
 def cmd_lattice_b1check(args) -> tuple[dict, dict, int]:
-    gram = _json_arg("gram", args.gram)
-    lam = _json_arg("lambda", args.lam) if args.lam else None
-    result = b1_span_check(gram, lam, args.cutoff)
-    config = {"gram": gram, "lambda": lam, "cutoff": args.cutoff}
+    config = {**_lattice_config(args), "cutoff": args.cutoff}
+    result = b1_span_check(config["gram"], config["lambda"], args.cutoff)
     code = 0 if result.get("ok") else 2
     return config, result, code
 
@@ -293,8 +295,7 @@ def _build_label_module(voa: TruncatedModel, label, cutoff: int):
                                      *(_integer(label[f], f"blocks: label field {f!r}")
                                        for f in "rs"), cutoff, voa=voa)
         if voa.kind == "lattice" and set(label) == {"lambda"}:
-            gram = [list(row) for row in voa.lattice.gram]
-            return lattice_model(gram, label["lambda"], cutoff, voa=voa)
+            return lattice_model(voa.lattice.gram, label["lambda"], cutoff, voa=voa)
     raise SchemaError(f"blocks: cannot interpret label {label!r} "
                       f"over a {voa.kind} model")
 

@@ -114,12 +114,13 @@ def short_vectors(lat: EvenLattice, shift: Sequence[Fraction], bound: Fraction):
 # Fock models
 
 
-def _lambda_alpha(lat: EvenLattice, lam_dual: Sequence | None) -> tuple:
-    """Alpha-basis coordinates of λ from its pairings with the basis α_i.
+def _parse_lattice(gram, lam_dual: Sequence | None) -> tuple[EvenLattice, tuple]:
+    """The even lattice of gram, and λ's alpha-basis coordinates: the one parse.
 
-    λ is a list or tuple; an empty or absent one means zero, and otherwise it
-    needs one integer per basis vector.
+    λ gives its pairings with the basis α_i as a list or tuple; an empty or
+    absent one means zero, and otherwise it needs one integer per basis vector.
     """
+    lat = EvenLattice(gram)
     r = lat.rank
     if not isinstance(lam_dual, (list, tuple, type(None))):
         raise ValueError(f"lambda must be a list of integers, got {lam_dual!r}")
@@ -132,12 +133,7 @@ def _lambda_alpha(lat: EvenLattice, lam_dual: Sequence | None) -> tuple:
                          f"has rank {r}")
     if any(x.denominator != 1 for x in lam_dual):
         raise ValueError("module weight must pair integrally with the lattice")
-    return tuple(sum(lat.inv[i][j] * lam_dual[j] for j in range(r)) for i in range(r))
-
-
-def _reduce_lambda(lat: EvenLattice, lam_dual: Sequence | None) -> tuple:
-    """Alpha-basis coordinates of λ, reduced into [0,1)^rank modulo L."""
-    return tuple(x - math.floor(x) for x in _lambda_alpha(lat, lam_dual))
+    return lat, tuple(sum(lat.inv[i][j] * lam_dual[j] for j in range(r)) for i in range(r))
 
 
 def _cocycle_sign(lat: EvenLattice, beta: Sequence[int], gamma: Sequence[int]) -> int:
@@ -167,16 +163,15 @@ class FockModel(TruncatedModel):
 
     def __init__(
         self,
-        gram: Sequence[Sequence[int]],
-        lam_dual: Sequence[Fraction] | None,
+        lat: EvenLattice,
+        lam_alpha: Sequence[Fraction],
         cutoff: int,
         lattice_enabled: bool = True,
         voa: "FockModel | None" = None,
     ):
-        lat = EvenLattice(gram, require_even=lattice_enabled)
         self.lattice = lat
         r = lat.rank
-        self.lam_alpha = _reduce_lambda(lat, lam_dual)
+        self.lam_alpha = tuple(x - math.floor(x) for x in lam_alpha)
         if not lattice_enabled and any(self.lam_alpha):
             raise ValueError("free-boson model supports only the zero momentum")
         # Momentum layer: all gamma whose ground weight fits the cutoff.
@@ -346,16 +341,18 @@ def _colored_partitions(total: int, colors: int) -> list[tuple]:
 def lattice_model(gram, lam_dual=None, cutoff: int = 6,
                   voa: FockModel | None = None) -> FockModel:
     """V_L (lam zero) or the irreducible module V_{λ+L} over it."""
-    if voa is None and any(_lambda_alpha(EvenLattice(gram), lam_dual)):
-        voa = FockModel(gram, None, cutoff)
-    return FockModel(gram, lam_dual, cutoff, voa=voa)
+    lat, lam_alpha = _parse_lattice(gram, lam_dual)
+    if voa is None and any(lam_alpha):
+        voa = FockModel(lat, (0,) * lat.rank, cutoff)
+    return FockModel(lat, lam_alpha, cutoff, voa=voa)
 
 
 def heisenberg_model(rank: int = 1, cutoff: int = 8) -> FockModel:
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
     gram = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    return FockModel(gram, None, cutoff, lattice_enabled=False)
+    return FockModel(EvenLattice(gram, require_even=False), (0,) * rank, cutoff,
+                     lattice_enabled=False)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +364,12 @@ def gamma_set(gram, lam_dual=None) -> list[tuple]:
 
     β is relative to λ as given, not to λ reduced modulo L, to which a
     model's momentum labels are relative.
+    """
+    return _gamma(*_parse_lattice(gram, lam_dual))
+
+
+def _gamma(lat: EvenLattice, lam_alpha: Sequence[Fraction]) -> list[tuple]:
+    """gamma_set for λ in alpha-basis coordinates, β relative to that λ.
 
     Write γ = λ+β, δ = β-α and p_i = <α_i|γ>: Γ is the set of γ with
     <δ|γ-δ> < 0 for every δ ∈ L ∖ {0, γ}.  Two enumerations suffice:
@@ -377,12 +380,10 @@ def gamma_set(gram, lam_dual=None) -> list[tuple]:
     - A δ ≠ γ with <δ|δ> >= <γ|γ> passes by Cauchy-Schwarz, since then
       <δ|γ> < <δ|δ>; so each γ is tested against the δ of
       short_vectors(0, B/2) with <δ|δ> < <γ|γ> only, and δ = γ never is.
-    - The test is integral: p_i = λ's input pairing + <α_i|β>, and
+    - The test is integral: p_i = <α_i|λ> + <α_i|β>, and
       <δ|γ-δ> = Σ δ_i p_i - <δ|δ>.
     """
-    lat = EvenLattice(gram)
     r = lat.rank
-    lam_alpha = _lambda_alpha(lat, lam_dual)
     lam_pair = [int(x) for x in lat.pairings(lam_alpha)]
     half = Fraction(sum(abs(lat.inv[i][j]) * lat.gram[i][i] * lat.gram[j][j]
                         for i in range(r) for j in range(r)), 2)
@@ -404,26 +405,24 @@ def gamma_set(gram, lam_dual=None) -> list[tuple]:
 
 def single_jump_check(gram, lam_dual, alpha: Sequence[int], beta: Sequence[int]) -> int:
     """Asserts e_{β-α}(-<β-α|λ+α>-1) e_{λ+α} = ± e_{λ+β}; returns the sign."""
-    lat = EvenLattice(gram)
+    lat, lam_alpha = _parse_lattice(gram, lam_dual)
     r = lat.rank
-    alpha = tuple(int(x) for x in alpha)
-    beta = tuple(int(x) for x in beta)
     for name, v in (("alpha", alpha), ("beta", beta)):
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in v):
+            raise ValueError(f"{name} must be a list of integers, got {v!r}")
         if len(v) != r:
             raise ValueError(f"{name} has {len(v)} entries, but the lattice "
                              f"has rank {r}")
-    diff = tuple(beta[i] - alpha[i] for i in range(r))
-    lam_alpha = _reduce_lambda(lat, lam_dual)
-    degs = []
-    for g in (alpha, beta):
-        mu = tuple(lam_alpha[i] + g[i] for i in range(r))
-        degs.append(lat.halfnorm(mu))
-    lw = min(hn for _, hn in short_vectors(lat, lam_alpha, max(degs)))
-    cutoff = int(max(degs) - lw) + 1
+    alpha, beta = tuple(alpha), tuple(beta)
+    diff = tuple(b - a for a, b in zip(alpha, beta))
+    lam_alpha = tuple(x - math.floor(x) for x in lam_alpha)
+    mu_a, mu_b = (tuple(x + g for x, g in zip(lam_alpha, v)) for v in (alpha, beta))
+    top = max(lat.halfnorm(mu_a), lat.halfnorm(mu_b))
+    lw = min(hn for _, hn in short_vectors(lat, lam_alpha, top))
+    cutoff = int(top - lw) + 1
     voa_cut = max(cutoff, int(lat.halfnorm(diff)) + 1)
-    voa = FockModel(gram, None, voa_cut)
-    model = voa if not any(lam_alpha) else FockModel(gram, lam_dual, cutoff, voa=voa)
-    mu_a = tuple(lam_alpha[i] + alpha[i] for i in range(r))
+    voa = FockModel(lat, (0,) * r, voa_cut)
+    model = voa if not any(lam_alpha) else FockModel(lat, lam_alpha, cutoff, voa=voa)
     mode = -int(lat.inner(diff, mu_a)) - 1
     result = mode_apply(model, {((), diff): Fraction(1)}, mode, {((), alpha): Fraction(1)})
     target = ((), beta)
@@ -438,7 +437,7 @@ def b1_span_check(gram, lam_dual, cutoff: int) -> dict:
     """Degreewise check that span{e_{λ+β} : β ∈ Γ_λ} + B₁ fills V_{λ+L}."""
     model = lattice_model(gram, lam_dual, cutoff)
     # Γ for the model's reduced λ, so that each β is one of its momentum labels.
-    gammas = gamma_set(gram, model.lattice.pairings(model.lam_alpha))
+    gammas = _gamma(model.lattice, model.lam_alpha)
     spans = _graded_spans(model, SubspaceSpec("b1"))
     for beta in gammas:
         lab = ((), beta)

@@ -207,6 +207,47 @@ def test_a_gram_or_lambda_that_is_not_a_json_array_is_a_schema_error(capsys, arg
     assert captured.err == f"schema error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "gamma", "--gram", "[[2]]", "--lambda", ""],
+    ["lattice", "b1check", "--gram", "[[2]]", "--lambda", "", "--cutoff", "2"],
+], ids=["gamma", "b1check"])
+def test_an_empty_lambda_is_a_schema_error(capsys, argv):
+    # An empty --lambda read as an absent one: exit 0 with "lambda": null.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: lambda: invalid JSON: ")
+
+
+D4 = "[[2,-1,0,0],[-1,2,-1,-1],[0,-1,2,0],[0,-1,0,2]]"
+
+
+def test_each_lattice_command_parses_its_gram_once(tmp_path, capsys, monkeypatch):
+    from voablocks.lattice import EvenLattice
+
+    builds = []
+    real = EvenLattice.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(EvenLattice, "__init__", counting)
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps({**A1_PAIR, "labels": [{"lambda": [1]}, {"lambda": [1]}]}))
+    # A blocks surface builds its VOA's lattice and one per distinct label.
+    for argv, count in [
+        (["lattice", "b1check", "--gram", D4, "--lambda", "[1,0,0,0]", "--cutoff", "2"], 1),
+        (["lattice", "gamma", "--gram", D4, "--lambda", "[1,0,0,0]"], 1),
+        (["quotient", "--space", "cmu", "--model", "a1", "--cutoff", "8"], 1),
+        (["blocks", "dim", "--config", str(path)], 2),
+    ]:
+        builds.clear()
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(builds) == count, argv
+
+
 def test_blocks_dim_builds_each_distinct_label_once(tmp_path, capsys, monkeypatch):
     from voablocks import cli
 

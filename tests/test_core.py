@@ -17,7 +17,7 @@ from voablocks.core import (
     mode_apply,
     quasi_primary_space,
 )
-from voablocks.lattice import FockModel, heisenberg_model, lattice_model
+from voablocks.lattice import EvenLattice, FockModel, heisenberg_model, lattice_model
 from voablocks.linalg import vec_add_scaled
 from voablocks.virasoro import (
     VirasoroModel, irreducible_model, ising_model, partitions, vacuum_voa, verma_model,
@@ -254,7 +254,7 @@ def test_a_module_over_a_different_voa_is_rejected(build, message):
 @pytest.mark.parametrize("build", [
     # sigma = L(1/2, 1/16): with no VOA it would act on itself as if v_h were a vacuum
     lambda: VirasoroModel(Fraction(1, 2), Fraction(1, 16), 6),
-    lambda: FockModel([[2]], [1], 4),
+    lambda: FockModel(EvenLattice([[2]]), (Fraction(1, 2),), 4),
 ], ids=["virasoro", "lattice"])
 def test_a_module_without_a_voa_is_rejected(build):
     with pytest.raises(ValueError, match="a module needs an explicit VOA model"):

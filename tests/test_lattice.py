@@ -315,10 +315,13 @@ def test_single_jump_rejects_lambda_of_the_wrong_length():
     (A1, (0,), (1, 7), "beta has 2 entries"),
     (A2, (0,), (1, 0), "alpha has 1 entries"),
     (A2, (0, 0), (1,), "beta has 1 entries"),
+    (A1, (0.5,), (1.9,), "alpha must be a list of integers"),
+    (A1, ("0",), (True,), "alpha must be a list of integers"),
+    (A1, (0,), (True,), "beta must be a list of integers"),
 ])
 def test_single_jump_rejects_alpha_or_beta_of_the_wrong_length(gram, alpha, beta, message):
-    # Extra entries were dropped (then a VerificationError was raised), and a
-    # short vector hit an IndexError.
+    # Extra entries were dropped (then a VerificationError was raised), a
+    # short vector hit an IndexError, and int() truncated the other entries.
     with pytest.raises(ValueError, match=message):
         single_jump_check(gram, [0] * len(gram), alpha, beta)
 
@@ -338,8 +341,8 @@ def test_module_requires_integral_dual_coordinates():
 
 def _b1_deficiencies_exhaustive(gram, lam_dual, cutoff):
     """b1_span_check's deficiencies with every a(-1)w and every ground added."""
-    voa = FockModel(gram, None, cutoff)
-    model = voa if not any(lam_dual) else FockModel(gram, lam_dual, cutoff, voa=voa)
+    voa = lattice_model(gram, None, cutoff)
+    model = voa if not any(lam_dual) else lattice_model(gram, lam_dual, cutoff, voa=voa)
     # gamma_set's β is relative to λ as given; the model's labels are relative
     # to its reduced λ, so shift β by the integer vector λ_α - model.lam_alpha.
     inv = sympy.Matrix(gram).inv()
@@ -527,7 +530,7 @@ def test_momentum_modes_match_the_per_term_sum(gram, lam, cutoff):
 
 
 def test_non_integral_zero_mode_pairing_is_a_verification_error():
-    # _lambda_alpha rejects a λ with non-integral pairings at input, so this
+    # _parse_lattice rejects a λ with non-integral pairings at input, so this
     # is reachable only from a corrupted model: an internal failure.
     module = lattice_model(A1, [1], cutoff=4)
     module.lam_alpha = (Fraction(1, 4),)
@@ -591,8 +594,8 @@ def test_fock_paths_leave_the_caches_unchanged():
     (lambda: EvenLattice([[2, 1], [1]]), "Gram matrix must be square"),
     (lambda: lattice_model([[2]], ["one"]), "lambda must be a list of integers"),
     (lambda: lattice_model([[2]], [None]), "lambda must be a list of integers"),
-    # on Gram [[2]], lambda = [1] is alpha/2, a nonzero momentum
-    (lambda: FockModel([[2]], [1], 4, lattice_enabled=False),
+    # alpha/2 on Gram [[2]] (dual lambda [1]) is a nonzero momentum
+    (lambda: FockModel(EvenLattice([[2]]), (Fraction(1, 2),), 4, lattice_enabled=False),
      "free-boson model supports only the zero momentum"),
     (lambda: heisenberg_model(-1), "rank must be nonnegative, got -1"),
 ], ids=["row-too-long", "row-too-short", "lambda-string", "lambda-none", "free-boson",
