@@ -72,12 +72,15 @@ class MeromorphicSection:
 
     def __init__(self, weight: int, poly: Mapping[int, Fraction] | None = None,
                  poles: Mapping[tuple, Fraction] | None = None):
-        self.weight = int(weight)
-        if self.weight < 0:
+        poly, poles = dict(poly or {}), dict(poles or {})
+        if any(type(x) is not int for x in (weight, *poly, *(k for key in poles for k in key))):
+            raise ValueError(f"section weight, degrees and pole keys must be integers, "
+                             f"got {weight!r}, {poly!r}, {poles!r}")
+        if weight < 0:
             raise ValueError("section weight must be nonnegative")
-        self.poly = {int(j): Fraction(c) for j, c in (poly or {}).items() if c}
-        self.poles = {(int(i), int(m)): Fraction(c)
-                      for (i, m), c in (poles or {}).items() if c}
+        self.weight = weight
+        self.poly = {j: Fraction(c) for j, c in poly.items() if c}
+        self.poles = {(i, m): Fraction(c) for (i, m), c in poles.items() if c}
         for (i, m) in self.poles:
             if m < 1:
                 raise ValueError("pole orders must be positive")

@@ -71,8 +71,7 @@ def _object(value, prefix: str) -> dict:
 
 def _integer(value, where: str, low: int | None = None) -> int:
     """value itself, if it is an int (not a bool) of at least low; else a schema error."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (low is not None and value < low)):
+    if type(value) is not int or (low is not None and value < low):
         bound = {None: "an", 0: "a nonnegative", 1: "a positive"}[low]
         raise SchemaError(f"{where} must be {bound} integer, got {value!r}")
     return value
@@ -107,8 +106,32 @@ def load_descriptor(text: str) -> dict:
     return _read_object(text, "model")
 
 
+# The fields each kind reads besides kind and cutoff.
+_MODEL_FIELDS = {
+    "virasoro-vacuum": {"c"},
+    "virasoro-verma": {"c", "h"},
+    "virasoro-irreducible": set("pqrs"),
+    "lattice": {"gram", "lambda"},
+    "heisenberg": {"rank"},
+}
+
+
 def build_model(desc: dict, cutoff: int) -> TruncatedModel:
+    """The model a descriptor names, at the run's cutoff.
+
+    A field its kind does not read, or a cutoff other than the run's, is a
+    schema error, so a descriptor never builds a model other than the one it names.
+    """
     kind = _object(desc, "model").get("kind")
+    reads = _MODEL_FIELDS.get(kind) if isinstance(kind, str) else None
+    if reads is None:
+        raise SchemaError(f"model: unknown kind {kind!r}")
+    if "cutoff" in desc and (type(desc["cutoff"]) is not int or desc["cutoff"] != cutoff):
+        raise SchemaError(f"model: field 'cutoff' is {desc['cutoff']!r}, "
+                          f"but the run's cutoff is {cutoff}")
+    unread = sorted(set(desc) - reads - {"kind", "cutoff"})
+    if unread:
+        raise SchemaError(f"model: kind {kind!r} does not read field {unread[0]!r}")
     try:
         if kind == "virasoro-vacuum":
             return vacuum_voa(qparse(desc["c"]), cutoff)
@@ -123,7 +146,6 @@ def build_model(desc: dict, cutoff: int) -> TruncatedModel:
             return heisenberg_model(_integer(desc.get("rank", 1), "model: field 'rank'"), cutoff)
     except KeyError as e:
         raise SchemaError(f"model: missing field {e} for kind {kind!r}")
-    raise SchemaError(f"model: unknown kind {kind!r}")
 
 
 def _json_arg(name: str, text: str):

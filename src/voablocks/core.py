@@ -58,7 +58,9 @@ class TruncatedModel(ABC):
         lowest weight 0, as the mode path's degree count assumes.  ``params``
         are the descriptor's entries besides kind and cutoff.
         """
-        self.cutoff = int(cutoff)
+        if type(cutoff) is not int:
+            raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
+        self.cutoff = cutoff
         self.lowest_weight = Fraction(lowest_weight)
         self.central_charge = Fraction(central_charge)
         if voa is None and not is_voa:

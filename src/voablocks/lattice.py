@@ -17,26 +17,34 @@ from typing import Sequence
 
 from .core import State, TruncatedModel, VerificationError, mode_apply
 from .finiteness import SubspaceSpec, _graded_spans
-from .linalg import SolverEchelon, qparse, qstr, vec_add_scaled
+from .linalg import SolverEchelon, qstr, vec_add_scaled
 
 
 # ---------------------------------------------------------------------------
 # Lattices
 
 
+def _int_list(v) -> bool:
+    """Whether v is a list or tuple of ints: the one integer rule, bools excluded."""
+    return isinstance(v, (list, tuple)) and all(type(x) is int for x in v)
+
+
+def _vector(name: str, v, rank: int, ints: bool = True) -> tuple:
+    """v as a tuple of rank entries, each an int unless ints is False."""
+    if ints and not _int_list(v):
+        raise ValueError(f"{name} must be a list of integers, got {v!r}")
+    if len(v) != rank:
+        raise ValueError(f"{name} has {len(v)} entries, but the lattice has rank {rank}")
+    return tuple(v)
+
+
 class EvenLattice:
     """Positive-definite integral lattice presented by its Gram matrix."""
 
     def __init__(self, gram: Sequence[Sequence[int]], require_even: bool = True):
-        matrix = isinstance(gram, (list, tuple)) and all(
-            isinstance(row, (list, tuple)) for row in gram)
-        try:
-            q = [[qparse(x) for x in row] for row in gram] if matrix else None
-        except (TypeError, ValueError, OverflowError):
-            q = None
-        if q is None or any(x.denominator != 1 for row in q for x in row):
+        if not (isinstance(gram, (list, tuple)) and all(map(_int_list, gram))):
             raise ValueError(f"Gram matrix must be a matrix of integers, got {gram!r}")
-        g = tuple(tuple(int(x) for x in row) for row in q)
+        g = tuple(map(tuple, gram))
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
@@ -122,18 +130,8 @@ def _parse_lattice(gram, lam_dual: Sequence | None) -> tuple[EvenLattice, tuple]
     """
     lat = EvenLattice(gram)
     r = lat.rank
-    if not isinstance(lam_dual, (list, tuple, type(None))):
-        raise ValueError(f"lambda must be a list of integers, got {lam_dual!r}")
-    try:
-        lam_dual = tuple(qparse(x) for x in (lam_dual or (0,) * r))
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"lambda must be a list of integers, got {lam_dual!r}") from None
-    if len(lam_dual) != r:
-        raise ValueError(f"lambda has {len(lam_dual)} entries, but the lattice "
-                         f"has rank {r}")
-    if any(x.denominator != 1 for x in lam_dual):
-        raise ValueError("module weight must pair integrally with the lattice")
-    return lat, tuple(sum(lat.inv[i][j] * lam_dual[j] for j in range(r)) for i in range(r))
+    lam = _vector("lambda", (0,) * r if lam_dual in (None, [], ()) else lam_dual, r)
+    return lat, tuple(sum(lat.inv[i][j] * lam[j] for j in range(r)) for i in range(r))
 
 
 def _cocycle_sign(lat: EvenLattice, beta: Sequence[int], gamma: Sequence[int]) -> int:
@@ -171,18 +169,15 @@ class FockModel(TruncatedModel):
     ):
         self.lattice = lat
         r = lat.rank
+        lam_alpha = _vector("lambda", lam_alpha, r, ints=False)  # Fractions, one per α_i
         self.lam_alpha = tuple(x - math.floor(x) for x in lam_alpha)
         if not lattice_enabled and any(self.lam_alpha):
             raise ValueError("free-boson model supports only the zero momentum")
-        # Momentum layer: all gamma whose ground weight fits the cutoff.
         zero = (0,) * r
+        lw = Fraction(0)
         if lattice_enabled:
-            grounds = short_vectors(lat, self.lam_alpha, lat.halfnorm(self.lam_alpha))
-            lw = min(hn for _, hn in grounds)
-            grounds = short_vectors(lat, self.lam_alpha, lw + cutoff)
-        else:
-            lw = Fraction(0)
-            grounds = [(zero, Fraction(0))]
+            lw = min(hn for _, hn in short_vectors(lat, self.lam_alpha,
+                                                   lat.halfnorm(self.lam_alpha)))
         om: State = {}
         for i in range(r):
             for j in range(r):
@@ -198,6 +193,10 @@ class FockModel(TruncatedModel):
         self._zero = zero
         self._creation_cache: dict = {}
         self._momentum_cache: dict = {}
+        # Momentum layer, enumerated once the contract holds: all gamma whose
+        # ground weight fits the cutoff.
+        grounds = (short_vectors(lat, self.lam_alpha, lw + cutoff) if lattice_enabled
+                   else [(zero, Fraction(0))])
         labels: dict[int, list] = {d: [] for d in range(cutoff + 1)}
         for gamma, hn in grounds:
             base = hn - lw
@@ -407,13 +406,7 @@ def single_jump_check(gram, lam_dual, alpha: Sequence[int], beta: Sequence[int])
     """Asserts e_{β-α}(-<β-α|λ+α>-1) e_{λ+α} = ± e_{λ+β}; returns the sign."""
     lat, lam_alpha = _parse_lattice(gram, lam_dual)
     r = lat.rank
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in v):
-            raise ValueError(f"{name} must be a list of integers, got {v!r}")
-        if len(v) != r:
-            raise ValueError(f"{name} has {len(v)} entries, but the lattice "
-                             f"has rank {r}")
-    alpha, beta = tuple(alpha), tuple(beta)
+    alpha, beta = _vector("alpha", alpha, r), _vector("beta", beta, r)
     diff = tuple(b - a for a, b in zip(alpha, beta))
     lam_alpha = tuple(x - math.floor(x) for x in lam_alpha)
     mu_a, mu_b = (tuple(x + g for x, g in zip(lam_alpha, v)) for v in (alpha, beta))

@@ -553,6 +553,11 @@ def test_m_constant_and_gaps():
      "share one VOA model"),
     (lambda: MeromorphicSection(-1), "section weight must be nonnegative"),
     (lambda: MeromorphicSection(1, poles={(0, 0): 1}), "pole orders must be positive"),
+    # int() truncated each of these: weight 2.9 to 2, degree 1.5 to 1, pole 1.7 to 1.
+    (lambda: MeromorphicSection(2.9), "must be integers, got 2.9"),
+    (lambda: MeromorphicSection(2, poly={1.5: 1}), "must be integers"),
+    (lambda: MeromorphicSection(2, poles={(0, 1.7): 1}), "must be integers"),
+    (lambda: MeromorphicSection(2, poles={("0", 1): 1}), "must be integers"),
     (lambda: section_basis(PointedLine((0, 1)), 1, [2]), "one nonnegative pole bound"),
     (lambda: section_basis(PointedLine((0, 1)), 1, [2, -1]), "one nonnegative pole bound"),
     (lambda: laurent_expand(PointedLine((0,)), MeromorphicSection(1), 1, 3),
@@ -565,7 +570,8 @@ def test_m_constant_and_gaps():
     (lambda: coinvariant_report(one_point_ising(4)[0], D=6, P=1, w_max=1),
      "module cutoffs must reach the degree cutoff D"),
     (lambda: m_constant_and_gaps(0, 0), "r_U must be >= 1"),
-], ids=["module-count", "mixed-voas", "negative-weight", "pole-order-0",
+], ids=["module-count", "mixed-voas", "negative-weight", "pole-order-0", "float-weight",
+         "float-degree", "float-pole-order", "string-pole-point",
         "bounds-count", "negative-bound", "point-past-end", "negative-point",
         "D-below-headroom", "cutoff-below-D", "r_U-0"])
 def test_blocks_rejects_bad_input(build, message):

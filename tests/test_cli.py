@@ -171,10 +171,11 @@ def test_lambda_of_the_wrong_length_is_a_schema_error(capsys, argv):
 
 
 @pytest.mark.parametrize("gram", ["[[2.5]]", "5", "[5]", "[[2, 1], [1, 2.5]]",
-                                  '["2"]', "{}"])
+                                  '["2"]', "{}", '[["2"]]', "[[2.0]]", '[["4/2"]]'])
 def test_non_integral_or_non_matrix_gram_is_a_schema_error(capsys, gram):
     # [[2.5]] was truncated to [[2]], and a bare number hit a TypeError.
-    # ["2"] read as [[2]], and {} as the rank-0 Gram.
+    # ["2"] read as [[2]], and {} as the rank-0 Gram.  [["2"]], [[2.0]] and
+    # [["4/2"]] ran the lattice [[2]] under a config digest of their own.
     assert main(["lattice", "gamma", "--gram", gram]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -197,8 +198,18 @@ NOT_A_LIST = "lambda must be a list of integers, got "
       "--model", '{"kind": "lattice", "gram": {}}'], NOT_A_MATRIX + "{}"),
     (["quotient", "--space", "c2", "--cutoff", "2",
       "--model", '{"kind": "lattice", "gram": [[2]], "lambda": 0}'], NOT_A_LIST + "0"),
+    # Entries that parse as integral rationals were read as integers, and
+    # [0.5] failed as a weight that does not pair integrally.
+    (["lattice", "gamma", "--gram", "[[2]]", "--lambda", '["1"]'], NOT_A_LIST + "['1']"),
+    (["lattice", "gamma", "--gram", "[[2]]", "--lambda", "[1.0]"], NOT_A_LIST + "[1.0]"),
+    (["lattice", "b1check", "--gram", "[[2]]", "--lambda", '["1/1"]', "--cutoff", "2"],
+     NOT_A_LIST + "['1/1']"),
+    (["lattice", "b1check", "--gram", "[[2]]", "--lambda", "[0.5]", "--cutoff", "2"],
+     NOT_A_LIST + "[0.5]"),
 ], ids=["gamma-string-lambda", "gamma-object-lambda", "b1check-number-lambda",
-        "b1check-string-row", "descriptor-object-gram", "descriptor-number-lambda"])
+        "b1check-string-row", "descriptor-object-gram", "descriptor-number-lambda",
+        "gamma-string-entry", "gamma-float-entry", "b1check-rational-string-entry",
+        "b1check-half-entry"])
 def test_a_gram_or_lambda_that_is_not_a_json_array_is_a_schema_error(capsys, argv,
                                                                       message):
     assert main(argv) == 1
@@ -217,6 +228,37 @@ def test_an_empty_lambda_is_a_schema_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("schema error: lambda: invalid JSON: ")
+
+
+@pytest.mark.parametrize("model, field", [
+    ('{"kind": "heisenberg", "rank": 2}', "gram"),
+    ('{"kind": "lattice", "gram": [[2]], "lambda": [1]}', "lambda_alpha"),
+    ("ising", None),
+], ids=["heisenberg", "lattice-module", "virasoro"])
+def test_a_report_descriptor_fed_back_builds_its_model_or_names_the_field(capsys, model,
+                                                                        field):
+    # Unread fields were dropped: the heisenberg descriptor built rank 1, and
+    # the lattice module's descriptor built the VOA.
+    argv = ["quotient", "--space", "c2", "--cutoff", "3", "--model"]
+    code, out = run(capsys, *argv, model)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert main([*argv, json.dumps(result["model"])]) == (1 if field else 0)
+    captured = capsys.readouterr()
+    if field:
+        assert captured.out == ""
+        assert captured.err.startswith("schema error: ") and repr(field) in captured.err
+    else:
+        assert json.loads(captured.out)["result"] == result
+
+
+def test_a_descriptor_cutoff_other_than_the_runs_is_a_schema_error(capsys):
+    desc = '{"kind": "virasoro-vacuum", "c": "1/2", "cutoff": 4}'
+    assert main(["quotient", "--space", "c2", "--cutoff", "3", "--model", desc]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("schema error: model: field 'cutoff' is 4, "
+                            "but the run's cutoff is 3\n")
 
 
 D4 = "[[2,-1,0,0],[-1,2,-1,-1],[0,-1,2,0],[0,-1,0,2]]"
@@ -615,9 +657,11 @@ def test_blocks_dim_with_lattice_labels(tmp_path, capsys, labels, est):
      "blocks: cannot interpret label {'r': 2, 's': 2} over a lattice model"),
     ({**A1_PAIR, "labels": ["sigma", "vacuum"]},
      "blocks: cannot interpret label 'sigma' over a lattice model"),
-    # The string "1" read as the list [1].
+    # The string "1" read as the list [1], and the float 1.0 as the integer 1.
     ({**A1_PAIR, "labels": [{"lambda": "1"}, {"lambda": [1]}]},
      "lambda must be a list of integers, got '1'"),
+    ({**A1_PAIR, "labels": [{"lambda": [1.0]}, {"lambda": [1]}]},
+     "lambda must be a list of integers, got [1.0]"),
     ({"points": ["0"], "labels": ["vacuum"], "P": 2,
       "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}},
      "config: missing field 'D'"),
@@ -627,7 +671,8 @@ def test_blocks_dim_with_lattice_labels(tmp_path, capsys, labels, est):
     ({"points": ["0"], "labels": [{"r": 2, "s": False}], "D": 4, "P": 2,
       "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}},
      "blocks: label field 's' must be an integer, got False"),
-], ids=["virasoro-label", "string-label", "string-lambda", "no-D", "float-r", "bool-s"])
+], ids=["virasoro-label", "string-label", "string-lambda", "float-lambda", "no-D", "float-r",
+        "bool-s"])
 def test_blocks_dim_rejects_uninterpretable_labels_and_missing_fields(
         tmp_path, capsys, config, message):
     path = tmp_path / "blocks.json"

@@ -268,7 +268,10 @@ def test_a_module_without_a_voa_is_rejected(build):
      "unknown identity kind 'jacobi'"),
     (lambda voa: is_quasi_primary_generated(irreducible_model(4, 3, 2, 2, 4, voa=voa)),
      "property of VOA models"),
-], ids=["mixed-state", "unknown-identity", "module"])
+    # int() truncated the cutoff: ising_model(8.5) built the cutoff-8 model.
+    (lambda voa: ising_model(8.5), "cutoff must be an integer, got 8.5"),
+    (lambda voa: lattice_model([[2]], cutoff=6.0), "cutoff must be an integer, got 6.0"),
+], ids=["mixed-state", "unknown-identity", "module", "float-cutoff", "float-lattice-cutoff"])
 def test_core_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call(ising_model(4))

@@ -598,8 +598,14 @@ def test_fock_paths_leave_the_caches_unchanged():
     (lambda: FockModel(EvenLattice([[2]]), (Fraction(1, 2),), 4, lattice_enabled=False),
      "free-boson model supports only the zero momentum"),
     (lambda: heisenberg_model(-1), "rank must be nonnegative, got -1"),
+    # A long λ built a model whose descriptor listed two coordinates, and a
+    # short one hit an IndexError.
+    (lambda: FockModel(EvenLattice(A1), (0, 0), 3),
+     "lambda has 2 entries, but the lattice has rank 1"),
+    (lambda: FockModel(EvenLattice(A2), (0,), 3),
+     "lambda has 1 entries, but the lattice has rank 2"),
 ], ids=["row-too-long", "row-too-short", "lambda-string", "lambda-none", "free-boson",
-        "heisenberg-negative-rank"])
+        "heisenberg-negative-rank", "fock-lambda-too-long", "fock-lambda-too-short"])
 def test_lattice_rejects_bad_input(build, message):
     with pytest.raises(ValueError, match=message):
         build()
