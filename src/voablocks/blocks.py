@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 from .core import (
     TruncatedModel,
     TruncationError,
+    _integer,
     _mode_label,
     binom,
     l1_apply,
@@ -73,17 +74,16 @@ class MeromorphicSection:
     def __init__(self, weight: int, poly: Mapping[int, Fraction] | None = None,
                  poles: Mapping[tuple, Fraction] | None = None):
         poly, poles = dict(poly or {}), dict(poles or {})
-        if any(type(x) is not int for x in (weight, *poly, *(k for key in poles for k in key))):
-            raise ValueError(f"section weight, degrees and pole keys must be integers, "
-                             f"got {weight!r}, {poly!r}, {poles!r}")
-        if weight < 0:
-            raise ValueError("section weight must be nonnegative")
-        self.weight = weight
+        self.weight = _integer(weight, "section weight", 0)
+        for j in poly:
+            _integer(j, "polynomial degree", 0)
+        for key in poles:
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError(f"pole key must be an (i, m) pair, got {key!r}")
+            _integer(key[0], "pole point")
+            _integer(key[1], "pole order", 1)
         self.poly = {j: Fraction(c) for j, c in poly.items() if c}
         self.poles = {(i, m): Fraction(c) for (i, m), c in poles.items() if c}
-        for (i, m) in self.poles:
-            if m < 1:
-                raise ValueError("pole orders must be positive")
         if self.weight == 0:
             if self.poly:
                 raise ValueError("weight-0 sections carry no polynomial part")
@@ -92,7 +92,7 @@ class MeromorphicSection:
             if res:
                 raise ValueError("simple-pole residues must cancel in total")
         else:
-            if any(j < 0 or j > 2 * self.weight - 2 for j in self.poly):
+            if any(j > 2 * self.weight - 2 for j in self.poly):
                 raise ValueError("polynomial degree exceeds 2d-2")
 
     def pole_order(self, i: int) -> int:
@@ -102,10 +102,11 @@ class MeromorphicSection:
 def section_basis(line: PointedLine, d: int,
                   pole_bounds: Sequence[int]) -> list[MeromorphicSection]:
     """Basis of sections of κ^{1-d} with pole order <= bound_i at Q_i."""
+    _integer(d, "d", 0)
     n = len(line.points)
-    bounds = list(pole_bounds)
-    if len(bounds) != n or any(b < 0 for b in bounds):
-        raise ValueError("one nonnegative pole bound per point required")
+    bounds = [_integer(b, "pole bound", 0) for b in pole_bounds]
+    if len(bounds) != n:
+        raise ValueError("one pole bound per point required")
     out: list[MeromorphicSection] = []
     if d >= 1:
         for i in range(n):
@@ -384,12 +385,14 @@ def coinvariant_report(surface: LabeledLine, D: int, P: int,
     own pivot's degree, so back-substitution then reaches only rows whose
     pivot lies between the new pivot's degree and the new row's top degree,
     mostly rows of the same degree.  Stabilization is the quotient reports'
-    test at their floor window; ``theorem_bound`` is always computed.
+    test at their floor window.  ``complement_U`` runs once: its r_U is the
+    default w_max, and its U gives ``theorem_bound``, which is always computed.
     """
+    _integer(D, "D", 0)
+    _integer(P, "P", 0)
     voa = surface.voa
-    U = None
-    if w_max is None:
-        U, w_max, _ = complement_U(voa)
+    U, r_u, _ = complement_U(voa)
+    w_max = r_u if w_max is None else _integer(w_max, "w_max", 1)
     h = w_max + P - 1
     d_valid = D - h
     if d_valid < 0:
@@ -490,8 +493,8 @@ def rr_h0(g: int, n: int, m: int):
     deg < 0 it is 0.  The two unconditional special cases are the trivial
     bundle (n = 1, m = 0) and kappa itself (n = 0, m = 0).
     """
-    if g < 0 or n < 0 or m < 0:
-        raise ValueError("g, n, m must be nonnegative")
+    for name, value in (("g", g), ("n", n), ("m", m)):
+        _integer(value, name, 0)
     if n == 1 and m == 0:
         return 1
     if n == 0 and m == 0:
@@ -509,8 +512,8 @@ def m_constant_and_gaps(g: int, r_u: int) -> tuple[int, dict]:
     n <= r_u, sections with any exact pole order >= M are certified; gaps[n]
     lists the smaller orders whose existence Riemann-Roch cannot certify.
     """
-    if r_u < 1:
-        raise ValueError("r_U must be >= 1")
+    _integer(g, "g", 0)
+    _integer(r_u, "r_U", 1)
     gaps: dict[int, list] = {}
     M = 1
     for n in range(1, r_u + 1):

@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import TruncatedModel, TruncationError, VerificationError, check_identity
+from .core import (SchemaError, TruncatedModel, TruncationError, VerificationError, _integer,
+                   check_identity)
 from .finiteness import SubspaceSpec, complement_U, quotient_report
 from .blocks import (
     LabeledLine,
@@ -54,10 +55,6 @@ NAMED_MODELS = {
 }
 
 
-class SchemaError(ValueError):
-    """Config or flag data that fails validation before dispatch."""
-
-
 # ---------------------------------------------------------------------------
 # Model descriptors
 
@@ -66,14 +63,6 @@ def _object(value, prefix: str) -> dict:
     """value itself, if it is a JSON/TOML object; else a schema error."""
     if not isinstance(value, dict):
         raise SchemaError(f"{prefix}: expected an object, got {value!r}")
-    return value
-
-
-def _integer(value, where: str, low: int | None = None) -> int:
-    """value itself, if it is an int (not a bool) of at least low; else a schema error."""
-    if type(value) is not int or (low is not None and value < low):
-        bound = {None: "an", 0: "a nonnegative", 1: "a positive"}[low]
-        raise SchemaError(f"{where} must be {bound} integer, got {value!r}")
     return value
 
 
@@ -138,12 +127,11 @@ def build_model(desc: dict, cutoff: int) -> TruncatedModel:
         if kind == "virasoro-verma":
             return verma_model(qparse(desc["c"]), qparse(desc["h"]), cutoff)
         if kind == "virasoro-irreducible":
-            return irreducible_model(*(_integer(desc[f], f"model: field {f!r}")
-                                       for f in "pqrs"), cutoff)
+            return irreducible_model(*(desc[f] for f in "pqrs"), cutoff)
         if kind == "lattice":
             return lattice_model(desc["gram"], desc.get("lambda"), cutoff)
         if kind == "heisenberg":
-            return heisenberg_model(_integer(desc.get("rank", 1), "model: field 'rank'"), cutoff)
+            return heisenberg_model(desc.get("rank", 1), cutoff)
     except KeyError as e:
         raise SchemaError(f"model: missing field {e} for kind {kind!r}")
 
@@ -160,6 +148,9 @@ def _json_arg(name: str, text: str):
 
 
 def cmd_check_identities(args) -> tuple[dict, dict, int]:
+    # No library call takes these two, so they are checked here, before any model is built.
+    _integer(args.samples, "--samples", 1)
+    _integer(args.max_exponent, "--max-exponent", 1)
     desc = load_descriptor(args.model)
     module = build_model(desc, args.cutoff)
     voa = module.voa
@@ -314,8 +305,7 @@ def _build_label_module(voa: TruncatedModel, label, cutoff: int):
     if isinstance(label, dict):
         if voa.kind == "virasoro-irreducible" and set(label) == {"r", "s"}:
             return irreducible_model(voa.params["p"], voa.params["q"],
-                                     *(_integer(label[f], f"blocks: label field {f!r}")
-                                       for f in "rs"), cutoff, voa=voa)
+                                     label["r"], label["s"], cutoff, voa=voa)
         if voa.kind == "lattice" and set(label) == {"lambda"}:
             return lattice_model(voa.lattice.gram, label["lambda"], cutoff, voa=voa)
     raise SchemaError(f"blocks: cannot interpret label {label!r} "
@@ -368,21 +358,6 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
-def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; argparse keeps no state between parses.
@@ -395,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="render the result as aligned text")
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--model", default="ising")
-    model.add_argument("--cutoff", type=_nonnegative_int, default=8)
+    model.add_argument("--cutoff", type=int, default=8)
     minimal = argparse.ArgumentParser(add_help=False)
     for flag in "pqrs":
         minimal.add_argument(f"-{flag}", type=int, required=True)
@@ -412,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ci = leaf(sub, "check-identities", cmd_check_identities, model)
-    ci.add_argument("--samples", type=_positive_int, default=200)
+    ci.add_argument("--samples", type=int, default=200)
     ci.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ci.add_argument("--max-exponent", type=_positive_int, default=4)
+    ci.add_argument("--max-exponent", type=int, default=4)
 
     vir = sub.add_parser("virasoro")
     vsub = vir.add_subparsers(dest="subcommand", required=True)
@@ -423,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--h")
     for flag in "pqrs":
         vs.add_argument(f"-{flag}", type=int, default=None)
-    vs.add_argument("--level", type=_nonnegative_int, required=True)
+    vs.add_argument("--level", type=int, required=True)
     leaf(vsub, "ff-verify", cmd_virasoro_ff_verify, minimal)
     leaf(vsub, "bounds", cmd_virasoro_bounds, minimal)
 
@@ -431,13 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     qu.add_argument("--space", choices=("c2", "cn", "b1", "cmu"), required=True)
     qu.add_argument("--n", type=int, default=2)
     qu.add_argument("--m", type=int, default=1)
-    qu.add_argument("--window", type=_positive_int, default=None)
+    qu.add_argument("--window", type=int, default=None)
 
     la = sub.add_parser("lattice")
     lsub = la.add_subparsers(dest="subcommand", required=True)
     leaf(lsub, "gamma", cmd_lattice_gamma, lattice)
     lb = leaf(lsub, "b1check", cmd_lattice_b1check, lattice)
-    lb.add_argument("--cutoff", type=_nonnegative_int, default=6)
+    lb.add_argument("--cutoff", type=int, default=6)
 
     bl = sub.add_parser("blocks")
     bsub = bl.add_subparsers(dest="subcommand", required=True)
@@ -453,16 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "table", False):
-        for key, value in report["result"].items():
-            print(f"{key:>24}  {value}")
-    else:
-        print(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
+    except OSError as e:
+        raise SchemaError(f"out: cannot write {path!r}: {e}") from None
 
 
 def main(argv=None) -> int:
@@ -470,6 +441,20 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config, result, code = args.fn(args)
+        report = {
+            "command": args.command + (
+                f" {args.subcommand}" if getattr(args, "subcommand", None) else ""),
+            "version": __version__,
+            "config": config,
+            "config_sha256": hashlib.sha256(
+                json.dumps(config, sort_keys=True).encode()).hexdigest(),
+            "result": result,
+        }
+        if hasattr(args, "seed"):
+            report["seed"] = args.seed
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.out:  # written before anything is printed, so a failed write prints nothing
+            _write_out(args.out, text)
     except ValueError as e:  # a SchemaError, or input a library call rejects
         print(f"schema error: {e}", file=sys.stderr)
         return 1
@@ -479,18 +464,11 @@ def main(argv=None) -> int:
     except TruncationError as e:
         print(f"truncation: {e}", file=sys.stderr)
         return 3
-    report = {
-        "command": args.command + (
-            f" {args.subcommand}" if getattr(args, "subcommand", None) else ""),
-        "version": __version__,
-        "config": config,
-        "config_sha256": hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()).hexdigest(),
-        "result": result,
-    }
-    if hasattr(args, "seed"):
-        report["seed"] = args.seed
-    _emit(report, args)
+    if args.table:
+        for key, value in result.items():
+            print(f"{key:>24}  {value}")
+    else:
+        print(text)
     return code
 
 

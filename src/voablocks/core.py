@@ -28,6 +28,19 @@ class VerificationError(RuntimeError):
     """An exact cross-check that must hold for correct code has failed."""
 
 
+class SchemaError(ValueError):
+    """Input that fails validation: a config field, a flag or a parameter."""
+
+
+def _integer(value, where: str, low: int | None = None) -> int:
+    """value itself, if it is an int (not a bool) of at least low; else a schema error."""
+    if type(value) is not int:
+        raise SchemaError(f"{where} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise SchemaError(f"{where} must be >= {low}, got {value!r}")
+    return value
+
+
 def binom(p: int, i: int) -> int:
     """Generalized binomial coefficient for integer p and i >= 0."""
     if i < 0:
@@ -58,9 +71,7 @@ class TruncatedModel(ABC):
         lowest weight 0, as the mode path's degree count assumes.  ``params``
         are the descriptor's entries besides kind and cutoff.
         """
-        if type(cutoff) is not int:
-            raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
-        self.cutoff = cutoff
+        self.cutoff = _integer(cutoff, "cutoff", 0)
         self.lowest_weight = Fraction(lowest_weight)
         self.central_charge = Fraction(central_charge)
         if voa is None and not is_voa:

@@ -16,6 +16,7 @@ from .core import (
     State,
     TruncatedModel,
     VerificationError,
+    _integer,
     binom,
     mode_apply,
     quasi_primary_space,
@@ -43,12 +44,12 @@ class SubspaceSpec:
     def __post_init__(self):
         if self.kind not in ("cn", "b1", "cmu"):
             raise ValueError(f"unknown subspace kind {self.kind!r}")
-        if self.kind == "cn" and self.n < 2:
-            raise ValueError("cn requires n >= 2")
-        if self.kind == "cmu" and self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.kind == "cmu" and not self.U:
-            raise ValueError("generator set U required")
+        if self.kind == "cn":
+            _integer(self.n, "n", 2)
+        if self.kind == "cmu":
+            _integer(self.m, "m", 1)
+            if not self.U:
+                raise ValueError("generator set U required")
 
 
 @dataclass
@@ -254,8 +255,7 @@ def quotient_report(module: TruncatedModel, spec: SubspaceSpec,
         if spec.U:
             r_u = max(module.voa.state_degree(u) or 0 for u in spec.U)
         window = max(_WINDOW_FLOOR, r_u)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    _integer(window, "window", 1)
     spans = _graded_spans(module, spec)
     per_degree = [module.dim(d) - ech.rank for d, ech in enumerate(spans)]
     return QuotientReport(per_degree, sum(per_degree),
@@ -279,8 +279,8 @@ def spanning_set_check(model: TruncatedModel, U: Sequence[Mapping]) -> list[bool
 
 def bound_k(s_u: int, m: int) -> int:
     """k = k0*m with k0 = ceil((s_U + m - 1/2)^2 / 2)."""
-    if s_u < 1 or m < 1:
-        raise ValueError("s_U and m must be positive")
+    _integer(s_u, "s_U", 1)
+    _integer(m, "m", 1)
     num = (2 * (s_u + m) - 1) ** 2  # (s+m-1/2)^2 * 4
     k0 = -((-num) // 8)  # ceil(num/8)
     return k0 * m
@@ -354,6 +354,8 @@ def reduce_certificate(module: TruncatedModel, a: Mapping, q: int, w: Mapping,
     reduce each term through the associativity and commutator formulas;
     every recursive call strictly decreases wt a.
     """
+    _integer(q, "q")
+    _integer(m, "m", 1)
     voa = module.voa
     for model, state in ((voa, a), (module, w)):
         for lab in state:

@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .core import State, TruncatedModel, VerificationError, mode_apply
+from .core import State, TruncatedModel, VerificationError, _integer, mode_apply
 from .finiteness import SubspaceSpec, _graded_spans
 from .linalg import SolverEchelon, qstr, vec_add_scaled
 
@@ -347,8 +347,7 @@ def lattice_model(gram, lam_dual=None, cutoff: int = 6,
 
 
 def heisenberg_model(rank: int = 1, cutoff: int = 8) -> FockModel:
-    if rank < 0:
-        raise ValueError(f"rank must be nonnegative, got {rank}")
+    _integer(rank, "rank", 0)
     gram = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
     return FockModel(EvenLattice(gram, require_even=False), (0,) * rank, cutoff,
                      lattice_enabled=False)

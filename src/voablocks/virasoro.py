@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .core import State, TruncatedModel, TruncationError, VerificationError
+from .core import State, TruncatedModel, TruncationError, VerificationError, _integer
 from .linalg import Echelon, kernel_of, qstr, vec_add_scaled
 
 
@@ -38,9 +38,11 @@ def _kac_weight(p: int, q: int, r: int, s: int) -> Fraction:
 
 
 def _validate_minimal(p: int, q: int, r: int, s: int) -> None:
-    if p <= 0 or q <= 0 or math.gcd(p, q) != 1:
-        raise ValueError(f"(p, q) = ({p}, {q}) must be coprime positive integers")
-    if not (1 <= r < q and 1 <= s < p):
+    for name, value in zip("pqrs", (p, q, r, s)):
+        _integer(value, name, 1)
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"(p, q) = ({p}, {q}) must be coprime")
+    if not (r < q and s < p):
         raise ValueError(f"(r, s) = ({r}, {s}) out of range for (p, q) = ({p}, {q})")
 
 
@@ -122,6 +124,7 @@ def singular_vectors(c: Fraction, h: Fraction, level: int) -> list[State]:
     L_n u = 0 for all n >= 3 then follows from the bracket relations, so
     these are precisely the singular vectors.
     """
+    _integer(level, "level", 0)
     act = VermaAction(c, h)
 
     def image(part) -> dict:
@@ -325,8 +328,8 @@ def feigin_fuchs(r: int, s: int) -> dict[tuple[int, int, int], Fraction]:
     equals the factor at (r-1-k, s-1-l), so pairing them yields the square
     root directly; ff_squares_to_product checks the construction by squaring.
     """
-    if r < 1 or s < 1:
-        raise ValueError("r, s must be positive")
+    _integer(r, "r", 1)
+    _integer(s, "s", 1)
     result = {(0, 0, 0): Fraction(1)}
     for k in range(r):
         for l in range(s):

@@ -551,15 +551,19 @@ def test_m_constant_and_gaps():
      "one module per marked point"),
     (lambda: LabeledLine(PointedLine((0, 1)), [ising_model(2), ising_model(2)]),
      "share one VOA model"),
-    (lambda: MeromorphicSection(-1), "section weight must be nonnegative"),
-    (lambda: MeromorphicSection(1, poles={(0, 0): 1}), "pole orders must be positive"),
+    (lambda: MeromorphicSection(-1), "section weight must be >= 0, got -1"),
+    (lambda: MeromorphicSection(1, poles={(0, 0): 1}), "pole order must be >= 1, got 0"),
     # int() truncated each of these: weight 2.9 to 2, degree 1.5 to 1, pole 1.7 to 1.
-    (lambda: MeromorphicSection(2.9), "must be integers, got 2.9"),
-    (lambda: MeromorphicSection(2, poly={1.5: 1}), "must be integers"),
-    (lambda: MeromorphicSection(2, poles={(0, 1.7): 1}), "must be integers"),
-    (lambda: MeromorphicSection(2, poles={("0", 1): 1}), "must be integers"),
-    (lambda: section_basis(PointedLine((0, 1)), 1, [2]), "one nonnegative pole bound"),
-    (lambda: section_basis(PointedLine((0, 1)), 1, [2, -1]), "one nonnegative pole bound"),
+    (lambda: MeromorphicSection(2.9), "section weight must be an integer, got 2.9"),
+    (lambda: MeromorphicSection(2, poly={1.5: 1}), "polynomial degree must be an integer, got 1.5"),
+    (lambda: MeromorphicSection(2, poles={(0, 1.7): 1}), "pole order must be an integer, got 1.7"),
+    (lambda: MeromorphicSection(2, poles={("0", 1): 1}), "pole point must be an integer, got '0'"),
+    # A key that is not a pair raised TypeError: 'int' object is not iterable.
+    (lambda: MeromorphicSection(2, poles={5: 1}), r"pole key must be an \(i, m\) pair, got 5"),
+    (lambda: MeromorphicSection(2, poles={(0, 1, 2): 1}),
+     r"pole key must be an \(i, m\) pair, got \(0, 1, 2\)"),
+    (lambda: section_basis(PointedLine((0, 1)), 1, [2]), "one pole bound per point required"),
+    (lambda: section_basis(PointedLine((0, 1)), 1, [2, -1]), "pole bound must be >= 0, got -1"),
     (lambda: laurent_expand(PointedLine((0,)), MeromorphicSection(1), 1, 3),
      "invalid point index"),
     (lambda: laurent_expand(PointedLine((0,)), MeromorphicSection(1), -1, 3),
@@ -571,7 +575,8 @@ def test_m_constant_and_gaps():
      "module cutoffs must reach the degree cutoff D"),
     (lambda: m_constant_and_gaps(0, 0), "r_U must be >= 1"),
 ], ids=["module-count", "mixed-voas", "negative-weight", "pole-order-0", "float-weight",
-         "float-degree", "float-pole-order", "string-pole-point",
+         "float-degree", "float-pole-order", "string-pole-point", "pole-key-int",
+         "pole-key-triple",
         "bounds-count", "negative-bound", "point-past-end", "negative-point",
         "D-below-headroom", "cutoff-below-D", "r_U-0"])
 def test_blocks_rejects_bad_input(build, message):

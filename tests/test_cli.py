@@ -458,6 +458,16 @@ def test_out_and_table_flags(tmp_path, capsys, argv):
     assert run(capsys, *argv) == (code, out_path.read_text())  # the report, byte for byte
 
 
+def test_an_out_path_that_cannot_be_written_is_a_schema_error_and_prints_nothing(
+        tmp_path, capsys):
+    # The report was printed first, and then open() ended in a FileNotFoundError traceback.
+    path = str(tmp_path / "absent" / "x.json")
+    assert main(["rr", "gaps", "--genus", "1", "--r-u", "1", "--out", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"schema error: out: cannot write {path!r}: ")
+
+
 @pytest.mark.parametrize("gram", ["[[2,2],[2,2]]", "[[2,3],[3,2]]", "[[-2]]",
                                   "[[0,1],[1,0]]"])
 def test_a_gram_matrix_that_is_not_positive_definite_is_a_schema_error(capsys, gram):
@@ -575,12 +585,12 @@ def test_quotient_on_every_model_kind(capsys, model, per_degree):
     ('{"c": "1/2"}', "model: unknown kind None"),
     # An integer field is never coerced: 4.9 built the (4,3) model, and rank -1 the rank-0 one.
     ('{"kind": "virasoro-irreducible", "p": 4.9, "q": 3, "r": 1, "s": 1}',
-     "model: field 'p' must be an integer, got 4.9"),
+     "p must be an integer, got 4.9"),
     ('{"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": true, "s": 1}',
-     "model: field 'r' must be an integer, got True"),
-    ('{"kind": "heisenberg", "rank": 1.5}', "model: field 'rank' must be an integer, got 1.5"),
-    ('{"kind": "heisenberg", "rank": true}', "model: field 'rank' must be an integer, got True"),
-    ('{"kind": "heisenberg", "rank": -1}', "rank must be nonnegative, got -1"),
+     "r must be an integer, got True"),
+    ('{"kind": "heisenberg", "rank": 1.5}', "rank must be an integer, got 1.5"),
+    ('{"kind": "heisenberg", "rank": true}', "rank must be an integer, got True"),
+    ('{"kind": "heisenberg", "rank": -1}', "rank must be >= 0, got -1"),
 ])
 def test_a_model_with_a_missing_field_or_unknown_kind_is_a_schema_error(
         capsys, model, message):
@@ -667,10 +677,10 @@ def test_blocks_dim_with_lattice_labels(tmp_path, capsys, labels, est):
      "config: missing field 'D'"),
     ({"points": ["0"], "labels": [{"r": 2.0, "s": 1}], "D": 4, "P": 2,
       "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}},
-     "blocks: label field 'r' must be an integer, got 2.0"),
+     "r must be an integer, got 2.0"),
     ({"points": ["0"], "labels": [{"r": 2, "s": False}], "D": 4, "P": 2,
       "voa": {"kind": "virasoro-irreducible", "p": 4, "q": 3, "r": 1, "s": 1}},
-     "blocks: label field 's' must be an integer, got False"),
+     "s must be an integer, got False"),
 ], ids=["virasoro-label", "string-label", "string-lambda", "float-lambda", "no-D", "float-r",
         "bool-s"])
 def test_blocks_dim_rejects_uninterpretable_labels_and_missing_fields(

@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from voablocks import cli
+from voablocks.blocks import (
+    LabeledLine, MeromorphicSection, PointedLine, coinvariant_report, m_constant_and_gaps,
+    rr_h0, section_basis,
+)
 from voablocks.core import (
+    SchemaError,
     TruncationError,
     binom,
     check_identity,
@@ -18,9 +24,12 @@ from voablocks.core import (
     quasi_primary_space,
 )
 from voablocks.lattice import EvenLattice, FockModel, heisenberg_model, lattice_model
+from voablocks.finiteness import SubspaceSpec, bound_k, quotient_report, reduce_certificate
 from voablocks.linalg import vec_add_scaled
 from voablocks.virasoro import (
-    VirasoroModel, irreducible_model, ising_model, partitions, vacuum_voa, verma_model,
+    VirasoroModel, feigin_fuchs, ff_verify, irreducible_model, ising_model,
+    minimal_params_values, partitions, quotient_ring_bounds, singular_vectors, vacuum_voa,
+    verma_model,
 )
 
 
@@ -275,6 +284,73 @@ def test_a_module_without_a_voa_is_rejected(build):
 def test_core_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call(ising_model(4))
+
+
+def _one_point_ising():
+    return LabeledLine(PointedLine((0,)), [ising_model(4)])
+
+
+# (entry point, parameter name, lower bound or None, a call passing x as that parameter)
+INTEGER_PARAMETERS = [
+    ("ising_model", "cutoff", 0, lambda x: ising_model(x)),
+    ("lattice_model", "cutoff", 0, lambda x: lattice_model([[2]], cutoff=x)),
+    *(("minimal_params_values", f, 1,
+       lambda x, f=f: minimal_params_values(**{"p": 4, "q": 3, "r": 1, "s": 1, f: x}))
+      for f in "pqrs"),
+    ("irreducible_model", "p", 1, lambda x: irreducible_model(x, 3, 1, 1, 4)),
+    ("quotient_ring_bounds", "q", 1, lambda x: quotient_ring_bounds(4, x, 1, 1)),
+    ("ff_verify", "s", 1, lambda x: ff_verify(4, 3, 1, x)),
+    ("singular_vectors", "level", 0,
+     lambda x: singular_vectors(Fraction(1, 2), Fraction(1, 16), x)),
+    ("feigin_fuchs", "r", 1, lambda x: feigin_fuchs(x, 1)),
+    ("feigin_fuchs", "s", 1, lambda x: feigin_fuchs(1, x)),
+    ("heisenberg_model", "rank", 0, lambda x: heisenberg_model(x, 3)),
+    ("SubspaceSpec", "n", 2, lambda x: SubspaceSpec("cn", n=x)),
+    ("SubspaceSpec", "m", 1, lambda x: SubspaceSpec("cmu", m=x, U=({(): Fraction(1)},))),
+    ("quotient_report", "window", 1,
+     lambda x: quotient_report(ising_model(4), SubspaceSpec("cn", n=2), window=x)),
+    ("bound_k", "s_U", 1, lambda x: bound_k(x, 1)),
+    ("bound_k", "m", 1, lambda x: bound_k(1, x)),
+    ("reduce_certificate", "q", None,
+     lambda x: reduce_certificate(ising_model(4), {(2,): Fraction(1)}, x, {(): Fraction(1)},
+                                  [], 1)),
+    ("reduce_certificate", "m", 1,
+     lambda x: reduce_certificate(ising_model(4), {(2,): Fraction(1)}, 2, {(): Fraction(1)},
+                                  [], x)),
+    ("coinvariant_report", "D", 0, lambda x: coinvariant_report(_one_point_ising(), x, 1)),
+    ("coinvariant_report", "P", 0, lambda x: coinvariant_report(_one_point_ising(), 4, x)),
+    ("coinvariant_report", "w_max", 1,
+     lambda x: coinvariant_report(_one_point_ising(), 4, 1, w_max=x)),
+    ("MeromorphicSection", "section weight", 0, lambda x: MeromorphicSection(x)),
+    ("section_basis", "d", 0, lambda x: section_basis(PointedLine((0,)), x, [1])),
+    ("section_basis", "pole bound", 0, lambda x: section_basis(PointedLine((0,)), 1, [x])),
+    ("rr_h0", "g", 0, lambda x: rr_h0(x, 1, 1)),
+    ("rr_h0", "n", 0, lambda x: rr_h0(1, x, 1)),
+    ("rr_h0", "m", 0, lambda x: rr_h0(1, 1, x)),
+    ("m_constant_and_gaps", "g", 0, lambda x: m_constant_and_gaps(x, 1)),
+    ("m_constant_and_gaps", "r_U", 1, lambda x: m_constant_and_gaps(1, x)),
+]
+
+
+def _integer_cases():
+    for entry, name, low, call in INTEGER_PARAMETERS:
+        yield pytest.param(call, 2.0, f"{name} must be an integer, got 2.0",
+                           id=f"{entry}-{name}-float")
+        yield pytest.param(call, True, f"{name} must be an integer, got True",
+                           id=f"{entry}-{name}-bool")
+        if low is not None:
+            yield pytest.param(call, low - 1, f"{name} must be >= {low}, got {low - 1}",
+                               id=f"{entry}-{name}-below")
+
+
+@pytest.mark.parametrize("call, value, message", _integer_cases())
+def test_every_integer_parameter_refuses_a_float_a_bool_and_a_value_below_its_bound(
+        call, value, message):
+    # One check, core._integer, names the parameter; the CLI raises the same SchemaError.
+    with pytest.raises(SchemaError) as info:
+        call(value)
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError) and cli.SchemaError is SchemaError
 
 
 def test_the_zero_state_has_no_degree():

@@ -235,11 +235,12 @@ def test_certificate_precondition():
 
 def test_certificate_rejects_entries_below_m():
     # With m < 1 the precondition q >= m wt a no longer implies q >= m, so
-    # the U-part entry omega(2)w lands below C_m and the check must fire.
+    # the U-part entry omega(2)w would land below C_m: such an m is refused
+    # up front (it reached the final entry check, a VerificationError).
     m = ising_model(cutoff=10)
     U, _, _ = complement_U(m)
     omega_u = next(u for u in U if m.state_degree(u) == 2)
-    with pytest.raises(VerificationError):
+    with pytest.raises(ValueError, match="m must be >= 1, got -1"):
         reduce_certificate(m, omega_u, -2, m.basis_state(()), U, m=-1)
 
 
@@ -558,8 +559,8 @@ def test_quotient_report_rejects_window_below_one(window):
     (lambda voa, sigma: complement_U(sigma), "complement_U expects a VOA model"),
     (lambda voa, sigma: spanning_set_check(sigma, []),
      "spanning_set_check expects a VOA model"),
-    (lambda voa, sigma: bound_k(0, 1), "s_U and m must be positive"),
-    (lambda voa, sigma: bound_k(1, 0), "s_U and m must be positive"),
+    (lambda voa, sigma: bound_k(0, 1), "s_U must be >= 1, got 0"),
+    (lambda voa, sigma: bound_k(1, 0), "m must be >= 1, got 0"),
     # the vacuum has weight 0, below every certificate's reach
     (lambda voa, sigma: reduce_certificate(voa, {(): Fraction(1)}, 2, {(): Fraction(1)},
                                            complement_U(voa)[0], 1),

@@ -597,7 +597,7 @@ def test_fock_paths_leave_the_caches_unchanged():
     # alpha/2 on Gram [[2]] (dual lambda [1]) is a nonzero momentum
     (lambda: FockModel(EvenLattice([[2]]), (Fraction(1, 2),), 4, lattice_enabled=False),
      "free-boson model supports only the zero momentum"),
-    (lambda: heisenberg_model(-1), "rank must be nonnegative, got -1"),
+    (lambda: heisenberg_model(-1), "rank must be >= 0, got -1"),
     # A long λ built a model whose descriptor listed two coordinates, and a
     # short one hit an IndexError.
     (lambda: FockModel(EvenLattice(A1), (0, 0), 3),

@@ -502,8 +502,8 @@ def test_submodule_is_the_maximal_one_by_an_independent_oracle(p, q, r, s, cutof
 @pytest.mark.parametrize("build, message", [
     (lambda: virasoro.VirasoroModel(Fraction(1, 2), Fraction(1, 16), 4, is_voa=True),
      "a VOA model has lowest weight 0, not 1/16"),
-    (lambda: feigin_fuchs(0, 1), "r, s must be positive"),
-    (lambda: feigin_fuchs(2, -1), "r, s must be positive"),
+    (lambda: feigin_fuchs(0, 1), "r must be >= 1, got 0"),
+    (lambda: feigin_fuchs(2, -1), "s must be >= 1, got -1"),
 ], ids=["voa-with-h", "ff-r-0", "ff-s-negative"])
 def test_virasoro_rejects_bad_input(build, message):
     with pytest.raises(ValueError, match=message):
