@@ -60,6 +60,15 @@ def partitions(n: int, top: int | None = None) -> tuple[tuple[int, ...], ...]:
                  for rest in partitions(n - first, first))
 
 
+def _has_one(part: tuple[int, ...]) -> bool:
+    return bool(part) and part[-1] == 1
+
+
+def _one_free(s: Mapping) -> State:
+    """The monomials of s with no part 1: s modulo <L_{-1}1> in M(c,0)."""
+    return {part: cf for part, cf in s.items() if not _has_one(part)}
+
+
 # ---------------------------------------------------------------------------
 # Pure Verma-module mode action
 
@@ -125,19 +134,36 @@ def singular_vectors(c: Fraction, h: Fraction, level: int) -> list[State]:
     these are precisely the singular vectors.
     """
     _integer(level, "level", 0)
+    return _l1_l2_kernel(c, h, level, one_free=False)
+
+
+def _l1_l2_kernel(c: Fraction, h: Fraction, level: int, one_free: bool) -> list[State]:
+    """``singular_vectors``, or with ``one_free`` (h = 0) in M(c,0)/<L_{-1}1>.
+
+    That quotient's basis is the partitions with no part 1, and the
+    monomials with a part 1 span <L_{-1}1> (see
+    ``VirasoroModel._build_quotient``): so u runs over the 1-free partitions,
+    and L_1 u and L_2 u drop their monomials with a part 1.
+    """
     act = VermaAction(c, h)
 
     def image(part) -> dict:
-        img = {("L1", lab): cf for lab, cf in act._L(1, part).items()}
-        img.update({("L2", lab): cf for lab, cf in act._L(2, part).items()})
+        img = {("L1", lab): cf for lab, cf in act._L(1, part).items()
+               if not (one_free and _has_one(lab))}
+        img.update({("L2", lab): cf for lab, cf in act._L(2, part).items()
+                    if not (one_free and _has_one(lab))})
         return img
 
-    return kernel_of((part, image(part)) for part in partitions(level))
+    return kernel_of((part, image(part)) for part in partitions(level)
+                     if not (one_free and _has_one(part)))
 
 
-def _singular_vector(c: Fraction, h: Fraction, level: int) -> State:
-    """The singular vector at the level, which must be unique up to scale."""
-    vecs = singular_vectors(c, h, level)
+def _singular_vector(c: Fraction, h: Fraction, level: int, one_free: bool = False) -> State:
+    """The singular vector at the level, which must be unique up to scale.
+
+    With ``one_free`` it is the one of M(c,0)/<L_{-1}1>, at h = 0.
+    """
+    vecs = _l1_l2_kernel(c, h, level, True) if one_free else singular_vectors(c, h, level)
     if len(vecs) != 1:
         raise VerificationError(
             f"expected a unique singular vector at level {level}, got {len(vecs)}"
@@ -149,12 +175,10 @@ def _singular_vector(c: Fraction, h: Fraction, level: int) -> State:
 # Truncated Virasoro models (Verma or quotients of Verma)
 
 
-def _has_one(part: tuple[int, ...]) -> bool:
-    return bool(part) and part[-1] == 1
-
-
 class VirasoroModel(TruncatedModel):
     """M(c,h) or a quotient of it by a submodule generated by singular vectors.
+
+    A VOA model (``is_voa``, h = 0) is always a quotient of M(c,0)/<L_{-1}1>.
 
     Basis labels are partitions.  Each level keeps only the submodule in
     reduced row echelon form (``_sub``); the basis is its non-pivot
@@ -179,8 +203,6 @@ class VirasoroModel(TruncatedModel):
         if self.cutoff >= 2:
             # ω = L_{-2}1 in the quotient basis; 0 where L_{-2}1 is singular (c = 0).
             self._omega = self.reduce_partition_state(self._omega)
-        if is_voa and any(map(_has_one, self.degrees)):
-            raise VerificationError("quotient basis of a VOA model contains L_{-1} monomials")
 
     # -- quotient construction --------------------------------------------
     def _build_quotient(self, gens: list[State]) -> None:
@@ -202,24 +224,37 @@ class VirasoroModel(TruncatedModel):
         ascending position of their last monomial, the pivot each would take
         unreduced.  A stored row holds no monomial past its own pivot, so a
         new pivot past every stored one needs no back-substitution.
+
+        A VOA model is built in M(c,0)/<L_{-1}1>.  By PBW, <L_{-1}1> is the
+        span of the monomials with a part 1, since L_{-lam} L_{-1}1 is the
+        monomial (lam, 1), and it is a submodule.  So each level's echelon
+        holds those monomials as unit rows, at the front of the pivot order,
+        and every generator's PBW vectors drop them after each L_{-n}, which
+        is exact because the dropped part stays in the submodule.  The span,
+        and so the RREF, is the one built in M(c,0) from L_{-1}1 and gens.
         """
-        cutoff = self.cutoff
+        cutoff, voa = self.cutoff, self.is_voa
         orders = {d: sorted(partitions(d), key=lambda p: (_has_one(p), p))
                   for d in range(cutoff + 1)}
         self._sub = {}
         pbws = []  # (level of g, {lam: L_{-lam} g})
         for g in gens:
+            g = _one_free(g) if voa else g
             lvl = self._state_level(g)
             if lvl is not None and lvl <= cutoff:
                 pbws.append((lvl, {(): g}))
         for d, parts in orders.items():
             last_first = {part: -i for i, part in enumerate(parts)}
             sub = self._sub[d] = Echelon(pivot_key=last_first.__getitem__)
+            for part in parts if voa else ():
+                if _has_one(part):
+                    sub.add({part: Fraction(1)})
             vecs = []
             for lvl, pbw in pbws:
                 for lam in partitions(d - lvl) if d >= lvl else ():
                     if lam:
-                        pbw[lam] = self.action.apply_state(-lam[0], pbw[lam[1:]])
+                        vec = self.action.apply_state(-lam[0], pbw[lam[1:]])
+                        pbw[lam] = _one_free(vec) if voa else vec
                     if pbw[lam]:
                         vecs.append(pbw[lam])
             for vec in sorted(vecs, key=lambda v: min(map(last_first.__getitem__, v)),
@@ -256,9 +291,8 @@ class VirasoroModel(TruncatedModel):
 
 def vacuum_voa(c: Fraction, cutoff: int) -> VirasoroModel:
     """The universal Virasoro VOA at charge c: M(c,0) / <L_{-1}vac>."""
-    gens = [{(1,): Fraction(1)}]
     return VirasoroModel(
-        c, Fraction(0), cutoff, gens, is_voa=True, kind="virasoro-vacuum",
+        c, Fraction(0), cutoff, [], is_voa=True, kind="virasoro-vacuum",
         params={"c": qstr(Fraction(c))},
     )
 
@@ -279,12 +313,15 @@ def irreducible_model(p: int, q: int, r: int, s: int, cutoff: int,
     """L(c_{p,q}, h_{p,q;r,s}): quotient by the two singular-vector submodules.
 
     The submodule generators sit at levels rs and (q-r)(p-s); generators
-    above the cutoff are vacuously inactive at desk scale.
+    above the cutoff are vacuously inactive at desk scale.  At h = 0 the
+    levels are 1 and (p-1)(q-1): the model is built in M(c,0)/<L_{-1}1>,
+    and its generator is that quotient's singular vector.
     """
     c, h = minimal_params_values(p, q, r, s)
-    gens = [_singular_vector(c, h, lv) for lv in {r * s, (q - r) * (p - s)}
-            if lv <= cutoff]
+    _integer(cutoff, "cutoff", 0)
     is_vac = h == 0
+    gens = [_singular_vector(c, h, lv, one_free=is_vac) for lv in {r * s, (q - r) * (p - s)}
+            if lv <= cutoff and not (is_vac and lv == 1)]
     if not is_vac and voa is None:
         voa = irreducible_model(p, q, 1, 1, cutoff)
     return VirasoroModel(

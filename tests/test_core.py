@@ -298,6 +298,8 @@ INTEGER_PARAMETERS = [
        lambda x, f=f: minimal_params_values(**{"p": 4, "q": 3, "r": 1, "s": 1, f: x}))
       for f in "pqrs"),
     ("irreducible_model", "p", 1, lambda x: irreducible_model(x, 3, 1, 1, 4)),
+    # The singular-vector levels are compared with the cutoff only after its check.
+    ("irreducible_model", "cutoff", 0, lambda x: irreducible_model(4, 3, 1, 1, x)),
     ("quotient_ring_bounds", "q", 1, lambda x: quotient_ring_bounds(4, x, 1, 1)),
     ("ff_verify", "s", 1, lambda x: ff_verify(4, 3, 1, x)),
     ("singular_vectors", "level", 0,
@@ -338,6 +340,8 @@ def _integer_cases():
                            id=f"{entry}-{name}-float")
         yield pytest.param(call, True, f"{name} must be an integer, got True",
                            id=f"{entry}-{name}-bool")
+        yield pytest.param(call, "8", f"{name} must be an integer, got '8'",
+                           id=f"{entry}-{name}-str")
         if low is not None:
             yield pytest.param(call, low - 1, f"{name} must be >= {low}, got {low - 1}",
                                id=f"{entry}-{name}-below")

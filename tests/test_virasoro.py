@@ -274,17 +274,43 @@ def _closure_pivot_rows(model, gens):
     return {d: ech.pivot_rows for d, ech in subs.items()}
 
 
+# The minimal-model VOAs of the finiteness sweep, with the cutoff each is checked at.
+SWEEP_VOAS = [(4, 3, 12), (5, 2, 12), (5, 3, 12), (7, 2, 12), (5, 4, 12), (9, 2, 12),
+              (5, 4, 14)]
+
+
+def _verma_vacuum_gens(p, q):
+    """L_{-1}1 and the Verma singular vector at level (p-1)(q-1): nothing dropped."""
+    c, _ = minimal_params_values(p, q, 1, 1)
+    return [{(1,): Fraction(1)}] + singular_vectors(c, Fraction(0), (p - 1) * (q - 1))
+
+
 @pytest.mark.parametrize("make, gens", [
     (lambda: irreducible_model(4, 3, 2, 2, 12),
      lambda: singular_vectors(Fraction(1, 2), Fraction(1, 16), 2)
      + singular_vectors(Fraction(1, 2), Fraction(1, 16), 4)),
     (lambda: vacuum_voa(Fraction(7, 3), 12), lambda: [{(1,): Fraction(1)}]),
-], ids=["sigma", "vacuum-c7/3"])
+    *((lambda p=p, q=q, cutoff=cutoff: irreducible_model(p, q, 1, 1, cutoff),
+       lambda p=p, q=q: _verma_vacuum_gens(p, q)) for p, q, cutoff in SWEEP_VOAS),
+], ids=["sigma", "vacuum-c7/3", *(f"voa-{p}-{q}-c{cutoff}" for p, q, cutoff in SWEEP_VOAS)])
 def test_pbw_submodule_equals_breadth_first_closure(make, gens):
     m = make()
     closure = _closure_pivot_rows(m, gens())
     for d in range(m.cutoff + 1):
         assert m._sub[d].pivot_rows == closure[d], d
+
+
+@pytest.mark.parametrize("p, q", sorted({(p, q) for p, q, _ in SWEEP_VOAS}))
+def test_quotient_singular_vector_is_the_one_free_part_of_the_verma_one(p, q):
+    c, _ = minimal_params_values(p, q, 1, 1)
+    level = (p - 1) * (q - 1)
+    (u,) = singular_vectors(c, Fraction(0), level)
+    one_free = {part: cf for part, cf in u.items() if 1 not in part}
+    w = virasoro._singular_vector(c, Fraction(0), level, one_free=True)
+    assert one_free and set(w) == set(one_free)
+    lead = next(iter(w))
+    ratio = w[lead] / one_free[lead]
+    assert ratio and w == {part: ratio * cf for part, cf in one_free.items()}
 
 
 # ---------------------------------------------------------------------------
